@@ -86,7 +86,11 @@ type Hardware struct {
 	L2HitCycles, CoalescedHitCycles, WalkCycles uint64
 }
 
-func (h Hardware) toConfig() mmu.Config {
+// toConfig resolves the hardware description against Table 3 and
+// validates the L2 geometry once for every entry point: L2Entries/L2Ways
+// is the set count, which must be a power of two of at least 1 for the
+// TLB to be indexed by address bits.
+func (h Hardware) toConfig() (mmu.Config, error) {
 	cfg := mmu.DefaultConfig()
 	if h.L2Entries > 0 {
 		cfg.L2Entries = h.L2Entries
@@ -106,7 +110,11 @@ func (h Hardware) toConfig() mmu.Config {
 	if h.WalkCycles > 0 {
 		cfg.WalkCycles = h.WalkCycles
 	}
-	return cfg
+	if sets := cfg.L2Entries / cfg.L2Ways; sets < 1 || !mem.IsPow2(uint64(sets)) {
+		return mmu.Config{}, fmt.Errorf("hybridtlb: L2 of %d entries in %d ways has %d sets; the set count must be a power of two of at least 1",
+			cfg.L2Entries, cfg.L2Ways, sets)
+	}
+	return cfg, nil
 }
 
 // Option configures a System.
@@ -178,7 +186,10 @@ func NewSystem(scheme string, opts ...Option) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	hw := o.hw.toConfig()
+	hw, err := o.hw.toConfig()
+	if err != nil {
+		return nil, err
+	}
 	pol := s.Policy()
 	pol.Cost = costModel
 	proc := osmem.NewProcess(pol)

@@ -5,6 +5,8 @@ import (
 	"os"
 	"reflect"
 	"testing"
+
+	"hybridtlb/internal/mmu"
 )
 
 // osWriteFile is a test shim (kept local so the test file reads cleanly).
@@ -157,6 +159,45 @@ func TestWithHardware(t *testing.T) {
 	s.TranslatePage(0)
 	if st := s.Stats(); st.Cycles != 100 {
 		t.Errorf("walk cycles = %d, want 100", st.Cycles)
+	}
+}
+
+// TestHardwareGeometryValidation checks that an L2 geometry the TLB
+// cannot index is an error from every entry point, not a panic, and that
+// the zero value still means Table 3.
+func TestHardwareGeometryValidation(t *testing.T) {
+	cases := []struct {
+		name string
+		hw   Hardware
+		ok   bool
+	}{
+		{"zero value is Table 3", Hardware{}, true},
+		{"custom power-of-two sets", Hardware{L2Entries: 16, L2Ways: 2}, true},
+		{"one set", Hardware{L2Entries: 8, L2Ways: 8}, true},
+		{"125 sets", Hardware{L2Entries: 1000}, false},
+		{"341 sets", Hardware{L2Ways: 3}, false},
+		{"fewer entries than ways", Hardware{L2Entries: 4, L2Ways: 8}, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg, err := tc.hw.toConfig()
+			if (err == nil) != tc.ok {
+				t.Fatalf("toConfig error = %v, want ok=%v", err, tc.ok)
+			}
+			if tc.hw == (Hardware{}) && cfg != mmu.DefaultConfig() {
+				t.Errorf("zero Hardware resolved to %+v, want Table 3", cfg)
+			}
+			if _, err := NewSystem(SchemeBase, WithHardware(tc.hw)); (err == nil) != tc.ok {
+				t.Errorf("NewSystem error = %v, want ok=%v", err, tc.ok)
+			}
+			_, err = Simulate(SimulationConfig{
+				Scheme: SchemeBase, Workload: "gups", Scenario: ScenarioMedium,
+				Accesses: 100, FootprintPages: 1024, Hardware: tc.hw,
+			})
+			if (err == nil) != tc.ok {
+				t.Errorf("Simulate error = %v, want ok=%v", err, tc.ok)
+			}
+		})
 	}
 }
 

@@ -5,13 +5,15 @@ import (
 
 	"hybridtlb/internal/mem"
 	"hybridtlb/internal/osmem"
+	"hybridtlb/internal/pagetable"
 	"hybridtlb/internal/tlb"
 )
 
 // clusterBlock is the coalescing reach of a cluster TLB entry: one entry
 // maps up to 8 pages of an 8-page-aligned virtual block whose frames are
-// contiguous relative to the block base (Pham et al., HPCA'14).
-const clusterBlock = 8
+// contiguous relative to the block base (Pham et al., HPCA'14). A block
+// is exactly the entries of one 64-byte PTE cache line.
+const clusterBlock = pagetable.EntriesPerCacheBlock
 
 // clusterMMU implements the Cluster and Cluster2M schemes: the L2
 // capacity is statically partitioned into a regular TLB (4 KiB entries,
@@ -86,21 +88,15 @@ func clusterKey(block mem.VPN, pfnBase mem.PFN) uint64 {
 	return tlb.Key(tlb.KindCluster, uint64(block)*0x9E3779B97F4A7C15^uint64(pfnBase))
 }
 
-// scanBlock builds a cluster entry for the block containing vpn by
-// examining the other page table entries of the same PTE cache line —
-// which the walk already fetched, so this costs no extra memory access.
-// Bit i is set when block page i maps to pfnBase+i.
+// scanBlock builds a cluster entry for the block containing vpn from the
+// other page table entries of the same PTE cache line — which the walk
+// already fetched, so this costs no extra memory access. The line is read
+// in one descent (pagetable.LineBitmap). Bit i is set when block page i
+// maps to pfnBase+i.
 func scanBlock(proc *osmem.Process, vpn mem.VPN, pfn mem.PFN) (base mem.VPN, pfnBase mem.PFN, bitmap uint8) {
 	base = vpn.AlignDown(clusterBlock)
 	pfnBase = pfn - mem.PFN(vpn-base)
-	pt := proc.PageTable()
-	for off := mem.VPN(0); off < clusterBlock; off++ {
-		w := pt.Walk(base + off)
-		if w.Present && w.Class == mem.Class4K && w.PFN == pfnBase+mem.PFN(off) {
-			bitmap |= 1 << uint(off)
-		}
-	}
-	return base, pfnBase, bitmap
+	return base, pfnBase, proc.PageTable().LineBitmap(vpn, pfnBase)
 }
 
 func (m *clusterMMU) Translate(vpn mem.VPN) AccessResult {

@@ -9,9 +9,8 @@ import (
 // coltfaMMU implements CoLT's fully associative mode: beside the regular
 // 4 KiB L2 sits a small fully associative array whose entries each map an
 // arbitrarily long (capped) contiguous run, discovered by extending the
-// walked translation through the page table in both directions. The full
-// associativity is what caps the entry count (Table 3-era designs used
-// 8-32 entries).
+// walked translation in both directions. The full associativity is what
+// caps the entry count (Table 3-era designs used 8-32 entries).
 type coltfaMMU struct {
 	cfg   Config
 	proc  *osmem.Process
@@ -47,38 +46,31 @@ func (m *coltfaMMU) Invalidate(vpn mem.VPN) {
 	m.runs.InvalidateContaining(vpn)
 }
 
-// discoverRun extends the walked page in both directions while the 4 KiB
-// mappings stay physically contiguous, up to the configured cap. The
-// hardware performs this from PTE cache lines fetched during and after
-// the walk.
+// discoverRun returns the run the walked page belongs to: the physically
+// contiguous 4 KiB mappings around vpn, capped at CoLTFAMaxPages pages.
+// The budget goes forward first (streaming accesses move upward, so it
+// is spent on pages not yet translated), then backward with what is
+// left. The hardware reads these PTEs from the lines fetched during and
+// after the walk, which the model charges nothing; the simulator reads
+// the extent from the chunk list in one binary search.
 func (m *coltfaMMU) discoverRun(vpn mem.VPN, pfn mem.PFN) tlb.RangeEntry {
-	pt := m.proc.PageTable()
-	cap := m.cfg.CoLTFAMaxPages
-	start, startPFN := vpn, pfn
-	var length uint64 = 1
-	// Forward first: streaming accesses move upward, so the budget is
-	// spent on pages that have not been translated yet.
-	end := vpn + 1
-	endPFN := pfn + 1
-	for length < cap {
-		w := pt.Walk(end)
-		if !w.Present || w.Class != mem.Class4K || w.PFN != endPFN {
-			break
-		}
-		end++
-		endPFN++
-		length++
+	run := tlb.RangeEntry{StartVPN: vpn, StartPFN: pfn, Pages: 1}
+	// The chunk extent equals the page-table run: the OS keeps the chunk
+	// list as the maximal virtually and physically contiguous runs
+	// (installs, appends and compaction coalesce it; unmaps only split it
+	// and leave a gap), and colt-fa's policy installs no huge pages, so
+	// every page of the chunk is a present 4 KiB mapping of its frame.
+	c, ok := m.proc.Chunks().Lookup(vpn)
+	if !ok || m.cfg.CoLTFAMaxPages <= 1 {
+		return run
 	}
-	for length < cap && start > 0 {
-		w := pt.Walk(start - 1)
-		if !w.Present || w.Class != mem.Class4K || w.PFN != startPFN-1 {
-			break
-		}
-		start--
-		startPFN--
-		length++
-	}
-	return tlb.RangeEntry{StartVPN: start, StartPFN: startPFN, Pages: length}
+	budget := m.cfg.CoLTFAMaxPages - 1
+	fwd := min(uint64(c.EndVPN()-vpn-1), budget)
+	back := min(uint64(vpn-c.StartVPN), budget-fwd)
+	run.StartVPN -= mem.VPN(back)
+	run.StartPFN -= mem.PFN(back)
+	run.Pages += fwd + back
+	return run
 }
 
 func (m *coltfaMMU) Translate(vpn mem.VPN) AccessResult {

@@ -333,6 +333,27 @@ func TestUnmapRangeSplitsAndShrinksAnchors(t *testing.T) {
 	checkTranslations(t, p)
 }
 
+// TestUnmapEmptyRangeKeepsChunks checks a zero-page unmap splits
+// nothing: a split without a gap would leave two chunks that are one
+// physical run, and the chunk list must stay the maximal runs.
+func TestUnmapEmptyRangeKeepsChunks(t *testing.T) {
+	p := NewProcess(Policy{Anchors: true})
+	if err := p.InstallChunks(mem.ChunkList{{StartVPN: 0, StartPFN: 1 << 20, Pages: 128}}, 16); err != nil {
+		t.Fatal(err)
+	}
+	before := p.EntryShootdowns()
+	p.UnmapRange(60, 0)
+	if len(p.Chunks()) != 1 || p.Chunks()[0].Pages != 128 {
+		t.Errorf("chunks = %v, want the one 128-page chunk", p.Chunks())
+	}
+	if got := p.PageTable().AnchorContiguity(48, 16); got != 80 {
+		t.Errorf("anchor 48 contiguity = %d, want 80", got)
+	}
+	if p.EntryShootdowns() != before {
+		t.Errorf("empty unmap issued %d shootdowns", p.EntryShootdowns()-before)
+	}
+}
+
 func TestUnmapDemotesHugePages(t *testing.T) {
 	p := NewProcess(Policy{THP: true})
 	if err := p.InstallChunks(mem.ChunkList{{StartVPN: 0, StartPFN: 0, Pages: 1024}}, 0); err != nil {

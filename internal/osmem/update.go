@@ -54,7 +54,12 @@ func (p *Process) AppendChunk(c mem.Chunk) error {
 // table entries are cleared (2 MiB pages overlapping the range are demoted
 // first), chunks are split, anchors whose runs were cut are rewritten, and
 // one TLB entry shootdown is accounted per removed or demoted translation.
+// Every split leaves a gap, so the chunk list stays the maximal
+// virtually and physically contiguous runs; an empty range is a no-op.
 func (p *Process) UnmapRange(startVPN mem.VPN, pages uint64) {
+	if pages == 0 {
+		return
+	}
 	endVPN := startVPN + mem.VPN(pages)
 	var next mem.ChunkList
 	for _, c := range p.chunks {

@@ -295,6 +295,40 @@ func (t *Table) WalkFast(vpn mem.VPN) (pfn mem.PFN, class mem.PageClass, baseVPN
 	return e.PFN(), mem.Class4K, vpn, e.PFN(), true
 }
 
+// LineBitmap reads the 64-byte PTE cache line holding vpn's leaf entry
+// and reports which of its EntriesPerCacheBlock entries continue one
+// physical run: bit i is set when the line's i-th entry is a present
+// 4 KiB mapping of pfnBase+i. It descends the tree once and reads the
+// whole line from the leaf, as coalescing hardware reads the line the
+// walk already fetched, so it counts no Walks. A line without a 4 KiB
+// leaf table (unmapped, or inside a huge page) reads as 0, matching a
+// per-entry Walk that finds no present 4 KiB mapping.
+//
+//tlbvet:hotpath
+func (t *Table) LineBitmap(vpn mem.VPN, pfnBase mem.PFN) uint8 {
+	n := t.root.child[indexAt(vpn, LevelPML4)]
+	if n == nil {
+		return 0
+	}
+	// A huge PDPT or PD entry never has a child table (Map1G/Map2M
+	// refuse one, Collapse2M drops it), so following children alone
+	// reaches only 4 KiB leaves.
+	if n = n.child[indexAt(vpn, LevelPDPT)]; n == nil {
+		return 0
+	}
+	if n = n.child[indexAt(vpn, LevelPD)]; n == nil {
+		return 0
+	}
+	first := indexAt(vpn, LevelPT) &^ (EntriesPerCacheBlock - 1)
+	var bitmap uint8
+	for off := 0; off < EntriesPerCacheBlock; off++ {
+		if e := n.pte[first+off]; e.Present() && e.PFN() == pfnBase+mem.PFN(off) {
+			bitmap |= 1 << uint(off)
+		}
+	}
+	return bitmap
+}
+
 // leafNode returns the PT-level node containing vpn's 4 KiB entry, or nil.
 func (t *Table) leafNode(vpn mem.VPN) *node {
 	n := t.root

@@ -546,3 +546,58 @@ func TestWalkFastMatchesWalk(t *testing.T) {
 		t.Errorf("Walks counter advanced %d, want %d (WalkFast must account like Walk)", got, probes)
 	}
 }
+
+// TestLineBitmapMatchesWalks pins the one-descent PTE-line read to eight
+// per-entry Walks over 4 KiB lines with breaks, holes and foreign
+// frames, lines inside 2 MiB and 1 GiB pages, and lines with no table,
+// and checks that it counts no walks.
+func TestLineBitmapMatchesWalks(t *testing.T) {
+	pt := New()
+	// Line [0, 8): frames 100.. with entry 2 on a foreign frame and
+	// entry 4 unmapped.
+	for off := mem.VPN(0); off < EntriesPerCacheBlock; off++ {
+		switch off {
+		case 2:
+			pt.Map4K(off, 999, FlagWrite)
+		case 4:
+		default:
+			pt.Map4K(off, 100+mem.PFN(off), FlagWrite)
+		}
+	}
+	// Line [8, 16) maps frames 0..7, so its empty entries would read as
+	// frame pfnBase+0 if presence were not checked.
+	for off := mem.VPN(1); off < EntriesPerCacheBlock; off++ {
+		pt.Map4K(8+off, mem.PFN(off), FlagWrite)
+	}
+	const huge, giant = mem.VPN(mem.PagesPer2M), mem.VPN(mem.PagesPer1G)
+	if err := pt.Map2M(huge, mem.PFN(4*huge), FlagWrite); err != nil {
+		t.Fatal(err)
+	}
+	if err := pt.Map1G(giant, mem.PFN(giant), FlagWrite); err != nil {
+		t.Fatal(err)
+	}
+	lines := []mem.VPN{0, 8, 16, huge, huge + 64, giant + 8, 3 * giant}
+	for _, base := range lines {
+		for _, pfnBase := range []mem.PFN{0, 100, mem.PFN(4 * huge), mem.PFN(giant + 8)} {
+			var want uint8
+			for off := mem.VPN(0); off < EntriesPerCacheBlock; off++ {
+				w := pt.Walk(base + off)
+				if w.Present && w.Class == mem.Class4K && w.PFN == pfnBase+mem.PFN(off) {
+					want |= 1 << uint(off)
+				}
+			}
+			walks := pt.Stats().Walks
+			for off := mem.VPN(0); off < EntriesPerCacheBlock; off++ {
+				if got := pt.LineBitmap(base+off, pfnBase); got != want {
+					t.Errorf("LineBitmap(%#x, %#x) = %08b, per-entry walks %08b", uint64(base+off), uint64(pfnBase), got, want)
+				}
+			}
+			if pt.Stats().Walks != walks {
+				t.Fatalf("LineBitmap counted %d walks", pt.Stats().Walks-walks)
+			}
+		}
+	}
+	if got := pt.LineBitmap(0, 100); got != 0b11101011 {
+		t.Errorf("line 0 bitmap = %08b, want 11101011", got)
+	}
+}

@@ -153,7 +153,10 @@ func (cfg SimulationConfig) toSimConfig() (sim.Config, mmu.Config, error) {
 	if err != nil {
 		return sim.Config{}, mmu.Config{}, err
 	}
-	hw := cfg.Hardware.toConfig()
+	hw, err := cfg.Hardware.toConfig()
+	if err != nil {
+		return sim.Config{}, mmu.Config{}, err
+	}
 	var probe sim.Probe
 	if p := cfg.Probe; p != nil {
 		probe = func(s sim.ProbeSample) {
