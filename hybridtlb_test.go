@@ -534,3 +534,45 @@ func TestCompactAndPromotePublicAPI(t *testing.T) {
 		t.Errorf("promoted = %d, want 1", n)
 	}
 }
+
+// TestSystemRejectsOutOfRangeChunks: chunks the page table cannot hold are
+// errors from Map, MapRegions and AddChunk, not panics or aliased pages.
+func TestSystemRejectsOutOfRangeChunks(t *testing.T) {
+	const lastPage, lastFrame = 1<<36 - 1, 1<<40 - 1
+	for _, chunks := range [][]Chunk{
+		{{VirtPage: 0x10000, PhysPage: 1 << 40, Pages: 4}},
+		// Page 1<<36 would alias page 0 in the four-level radix index.
+		{{VirtPage: 0, PhysPage: 100, Pages: 1}, {VirtPage: 1 << 36, PhysPage: 200, Pages: 1}},
+	} {
+		s, err := NewSystem(SchemeAnchor)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Map(chunks); err == nil {
+			t.Errorf("Map(%v) accepted", chunks)
+		}
+		if err := s.MapRegions(chunks); err == nil {
+			t.Errorf("MapRegions(%v) accepted", chunks)
+		}
+		if err := s.AddChunk(chunks[len(chunks)-1]); err == nil {
+			t.Errorf("AddChunk(%v) accepted", chunks[len(chunks)-1])
+		}
+		if pfn, ok := s.TranslatePage(0); ok {
+			t.Errorf("page 0 translates to %#x after rejected mappings", pfn)
+		}
+	}
+
+	s, err := NewSystem(SchemeAnchor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Map([]Chunk{{VirtPage: lastPage, PhysPage: lastFrame, Pages: 1}}); err != nil {
+		t.Fatalf("last page and frame refused: %v", err)
+	}
+	if pfn, ok := s.TranslatePage(lastPage); !ok || pfn != lastFrame {
+		t.Errorf("TranslatePage(last page) = %#x, %v", pfn, ok)
+	}
+	if err := s.AddChunk(Chunk{VirtPage: 0, PhysPage: lastFrame - 3, Pages: 3}); err != nil {
+		t.Errorf("AddChunk ending at the last frame refused: %v", err)
+	}
+}

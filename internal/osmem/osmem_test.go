@@ -727,3 +727,47 @@ func TestMultiRegionUnmapInterplay(t *testing.T) {
 	}
 	checkTranslations(t, p)
 }
+
+// TestInstallRejectsOutOfRangeChunks: frames past the PTE frame field and
+// pages past the 48-bit virtual address space are refused with an error
+// before the table is touched, by every install path; the last valid page
+// and frame are accepted.
+func TestInstallRejectsOutOfRangeChunks(t *testing.T) {
+	const lastVPN, lastPFN = mem.VPN(1)<<36 - 1, pagetable.MaxPFN
+	for _, tc := range []struct {
+		name string
+		c    mem.Chunk
+	}{
+		{"frame past the field", mem.Chunk{StartVPN: 0x10000, StartPFN: 1 << 40, Pages: 4}},
+		{"frames run past the field", mem.Chunk{StartVPN: 0x10000, StartPFN: lastPFN - 1, Pages: 4}},
+		{"page past the address space", mem.Chunk{StartVPN: 1 << 36, StartPFN: 200, Pages: 1}},
+		{"pages run past the address space", mem.Chunk{StartVPN: lastVPN - 1, StartPFN: 200, Pages: 4}},
+	} {
+		cl := mem.ChunkList{{StartVPN: 0, StartPFN: 100, Pages: 1}, tc.c}
+		p := NewProcess(Policy{Anchors: true})
+		if err := p.InstallChunks(cl, 0); err == nil {
+			t.Errorf("%s: InstallChunks accepted %v", tc.name, tc.c)
+		}
+		if err := p.InstallChunksRegions(cl, 0); err == nil {
+			t.Errorf("%s: InstallChunksRegions accepted %v", tc.name, tc.c)
+		}
+		if err := p.AppendChunk(tc.c); err == nil {
+			t.Errorf("%s: AppendChunk accepted %v", tc.name, tc.c)
+		}
+		if n := p.PageTable().Stats().Nodes; n != 1 {
+			t.Errorf("%s: rejected chunks allocated %d table pages", tc.name, n-1)
+		}
+	}
+
+	p := NewProcess(Policy{Anchors: true})
+	if err := p.InstallChunks(mem.ChunkList{{StartVPN: lastVPN, StartPFN: lastPFN, Pages: 1}}, 0); err != nil {
+		t.Fatalf("last page and frame refused: %v", err)
+	}
+	if w := p.PageTable().Walk(lastVPN); !w.Present || w.PFN != lastPFN {
+		t.Errorf("walk(last page) = %+v", w)
+	}
+	if err := p.AppendChunk(mem.Chunk{StartVPN: lastVPN - 4, StartPFN: lastPFN - 4, Pages: 4}); err != nil {
+		t.Errorf("append below the last page refused: %v", err)
+	}
+	checkTranslations(t, p)
+}

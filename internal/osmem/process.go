@@ -113,8 +113,8 @@ func (p *Process) InstallChunks(cl mem.ChunkList, fixedDistance uint64) error {
 	sorted := append(mem.ChunkList(nil), cl...)
 	sorted.Sort()
 	sorted = sorted.CoalesceVirtual()
-	if err := sorted.Validate(); err != nil {
-		return fmt.Errorf("osmem: invalid chunk list: %w", err)
+	if err := validateChunks(sorted); err != nil {
+		return err
 	}
 	p.chunks = sorted
 
@@ -140,6 +140,38 @@ func (p *Process) InstallChunks(cl mem.ChunkList, fixedDistance uint64) error {
 	return nil
 }
 
+// lastVPN is the last page of the 48-bit virtual address space the
+// four-level table indexes.
+const lastVPN = mem.VPN(1)<<(mem.VirtAddrBits-mem.Shift4K) - 1
+
+// checkChunkRange reports a chunk the page table cannot hold: pages past
+// the 48-bit virtual address space, which would alias low pages in the
+// radix index, or frames past the PTE frame field. c is not empty.
+func checkChunkRange(c mem.Chunk) error {
+	last := c.Pages - 1
+	switch {
+	case c.StartVPN > lastVPN || last > uint64(lastVPN-c.StartVPN):
+		return fmt.Errorf("osmem: chunk %v extends past the %d-bit virtual address space", c, mem.VirtAddrBits)
+	case c.StartPFN > pagetable.MaxPFN || last > uint64(pagetable.MaxPFN-c.StartPFN):
+		return fmt.Errorf("osmem: chunk %v extends past frame %#x, the last the PTE frame field holds", c, uint64(pagetable.MaxPFN))
+	}
+	return nil
+}
+
+// validateChunks checks a sorted, coalesced chunk list before it is
+// installed: the list invariants, then every chunk's page and frame range.
+func validateChunks(cl mem.ChunkList) error {
+	if err := cl.Validate(); err != nil {
+		return fmt.Errorf("osmem: invalid chunk list: %w", err)
+	}
+	for _, c := range cl {
+		if err := checkChunkRange(c); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func (p *Process) installChunkAt(c mem.Chunk, dist uint64) {
 	for _, s := range DecomposeChunk(c, p.policy, dist) {
 		switch s.Kind {
@@ -153,9 +185,7 @@ func (p *Process) installChunkAt(c mem.Chunk, dist uint64) {
 				p.huge[vpn] = pfn
 			}
 		case Seg4K, SegAnchored:
-			for off := uint64(0); off < s.Pages; off++ {
-				p.pt.Map4K(s.StartVPN+mem.VPN(off), s.StartPFN+mem.PFN(off), pagetable.FlagWrite|pagetable.FlagUser)
-			}
+			p.pt.MapRange4K(s.StartVPN, s.StartPFN, s.Pages, pagetable.FlagWrite|pagetable.FlagUser)
 			if s.Kind == SegAnchored {
 				p.writeAnchors(s, c, dist)
 			}

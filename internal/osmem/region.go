@@ -115,8 +115,8 @@ func (p *Process) InstallChunksRegions(cl mem.ChunkList, maxRegions int) error {
 	sorted := append(mem.ChunkList(nil), cl...)
 	sorted.Sort()
 	sorted = sorted.CoalesceVirtual()
-	if err := sorted.Validate(); err != nil {
-		return fmt.Errorf("osmem: invalid chunk list: %w", err)
+	if err := validateChunks(sorted); err != nil {
+		return err
 	}
 	p.chunks = sorted
 	p.regions = PartitionRegionsModel(sorted, maxRegions, p.policy.Cost)

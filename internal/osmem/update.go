@@ -23,6 +23,9 @@ func (p *Process) AppendChunk(c mem.Chunk) error {
 	if c.Pages == 0 {
 		return fmt.Errorf("osmem: empty chunk")
 	}
+	if err := checkChunkRange(c); err != nil {
+		return err
+	}
 	for _, existing := range p.chunks {
 		if c.StartVPN < existing.EndVPN() && existing.StartVPN < c.EndVPN() {
 			return fmt.Errorf("osmem: chunk %v overlaps existing %v", c, existing)
@@ -110,16 +113,20 @@ func (p *Process) demoteHugeOverlapping(lo, hi mem.VPN, c mem.Chunk) {
 		p.pt.Unmap(base)
 		p.shootdown(base)
 		delete(p.huge, base)
-		for off := mem.VPN(0); off < mem.VPN(mem.PagesPer2M); off++ {
-			v := base + off
-			if v >= lo && v < hi {
-				continue // being unmapped
-			}
-			if !c.Contains(v) {
-				continue
-			}
-			p.pt.Map4K(v, pfn+mem.PFN(off), pagetable.FlagWrite|pagetable.FlagUser)
-		}
+		// The surviving pages are the huge page's share of the chunk
+		// minus the cut: at most one run either side of [lo, hi).
+		from := maxVPN(base, c.StartVPN)
+		to := minVPN(base+mem.VPN(mem.PagesPer2M), c.EndVPN())
+		p.remap4K(from, minVPN(to, lo), base, pfn)
+		p.remap4K(maxVPN(from, hi), to, base, pfn)
+	}
+}
+
+// remap4K maps [from, to) with 4 KiB pages as part of the demoted huge
+// page base -> pfn; an empty range maps nothing.
+func (p *Process) remap4K(from, to, base mem.VPN, pfn mem.PFN) {
+	if from < to {
+		p.pt.MapRange4K(from, pfn+mem.PFN(from-base), uint64(to-from), pagetable.FlagWrite|pagetable.FlagUser)
 	}
 }
 

@@ -66,8 +66,8 @@ func checkAnchorArgs(avpn mem.VPN, dist uint64) {
 // cost model of Section 3.3.
 func (t *Table) SetAnchorContiguity(avpn mem.VPN, dist, contiguity uint64) int {
 	checkAnchorArgs(avpn, dist)
-	n := t.leafNode(avpn)
-	if n == nil {
+	lf := t.leafOf(avpn)
+	if lf == nil {
 		return 0
 	}
 	if cap := contiguityCap(dist); contiguity > cap {
@@ -81,12 +81,12 @@ func (t *Table) SetAnchorContiguity(avpn mem.VPN, dist, contiguity uint64) int {
 		low = stored&(MaxContiguitySingle-1) | anchorValidBit
 		high = stored >> anchorPayloadBits
 	}
-	n.pte[i] = n.pte[i].WithIgn(low)
+	lf[i] = lf[i].WithIgn(low)
 	writes++
 	if dist >= EntriesPerCacheBlock {
 		// Distributed encoding: the next entry of the same cache block
 		// holds the high bits. i is block-aligned, so i+1 is in range.
-		n.pte[i+1] = n.pte[i+1].WithIgn(high)
+		lf[i+1] = lf[i+1].WithIgn(high)
 		writes++
 	}
 	t.stats.PTEWrites += uint64(writes)
@@ -98,18 +98,18 @@ func (t *Table) SetAnchorContiguity(avpn mem.VPN, dist, contiguity uint64) int {
 // anchor's page table page does not exist).
 func (t *Table) AnchorContiguity(avpn mem.VPN, dist uint64) uint64 {
 	checkAnchorArgs(avpn, dist)
-	n := t.leafNode(avpn)
-	if n == nil {
+	lf := t.leafOf(avpn)
+	if lf == nil {
 		return 0
 	}
 	i := indexAt(avpn, LevelPT)
-	low := n.pte[i].Ign()
+	low := lf[i].Ign()
 	if low&anchorValidBit == 0 {
 		return 0 // valid bit clear: no contiguity recorded
 	}
 	stored := low & (MaxContiguitySingle - 1)
 	if dist >= EntriesPerCacheBlock {
-		stored |= n.pte[i+1].Ign() << anchorPayloadBits
+		stored |= lf[i+1].Ign() << anchorPayloadBits
 	}
 	return stored + 1
 }

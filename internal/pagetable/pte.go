@@ -67,9 +67,15 @@ const MaxPFN mem.PFN = 1<<pfnBits - 1
 // would alias distinct frames.
 func (e PTE) WithPFN(p mem.PFN) PTE {
 	if p > MaxPFN {
-		panic(fmt.Sprintf("pagetable: PFN %#x exceeds the %d-bit frame field", uint64(p), pfnBits))
+		panic(pfnOverflow(uint64(p)))
 	}
 	return (e &^ pfnMask) | (PTE(p) << pfnShift & pfnMask)
+}
+
+// pfnOverflow is the panic message for frame p, which the field cannot
+// hold.
+func pfnOverflow(p uint64) string {
+	return fmt.Sprintf("pagetable: PFN %#x exceeds the %d-bit frame field", p, pfnBits)
 }
 
 // Ign extracts the OS-available ignored-bit field.

@@ -1,0 +1,156 @@
+package pagetable
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+	"unsafe"
+
+	"hybridtlb/internal/mem"
+)
+
+// mapRangeRef is the reference MapRange4K must match: one Map4K per page.
+func mapRangeRef(pt *Table, vpn mem.VPN, pfn mem.PFN, pages uint64, flags PTE) {
+	for k := uint64(0); k < pages; k++ {
+		pt.Map4K(vpn+mem.VPN(k), pfn+mem.PFN(k), flags)
+	}
+}
+
+type rangeEntry struct {
+	VPN   mem.VPN
+	Entry PTE
+	Class mem.PageClass
+}
+
+func rangeOf(pt *Table) []rangeEntry {
+	var out []rangeEntry
+	pt.Range(func(vpn mem.VPN, e PTE, class mem.PageClass) bool {
+		out = append(out, rangeEntry{vpn, e, class})
+		return true
+	})
+	return out
+}
+
+// requireSameTables compares everything a reader of the table can see:
+// the Range listing, Walk results and WalkLines addresses for probes, and
+// the node and write counts.
+func requireSameTables(t *testing.T, step string, got, want *Table, probes []mem.VPN) {
+	t.Helper()
+	if g, w := rangeOf(got), rangeOf(want); !reflect.DeepEqual(g, w) {
+		t.Fatalf("%s: Range differs: %d entries, reference %d", step, len(g), len(w))
+	}
+	for _, v := range probes {
+		if g, w := got.Walk(v), want.Walk(v); g != w {
+			t.Fatalf("%s: Walk(%#x) = %+v, reference %+v", step, uint64(v), g, w)
+		}
+		if g, w := got.WalkLines(v), want.WalkLines(v); !reflect.DeepEqual(g, w) {
+			t.Fatalf("%s: WalkLines(%#x) = %#x, reference %#x", step, uint64(v), g, w)
+		}
+	}
+	if g, w := got.Stats(), want.Stats(); g.Nodes != w.Nodes || g.PTEWrites != w.PTEWrites {
+		t.Fatalf("%s: stats %+v, reference %+v", step, g, w)
+	}
+}
+
+// TestMapRange4KMatchesPerPage builds tables from random ranges both ways
+// and requires them identical. Ranges start mid-leaf, cross leaf (512-page)
+// and PD (1 GiB) boundaries, remap pages already mapped, and cover anchor
+// bits written into entries before their pages were mapped.
+func TestMapRange4KMatchesPerPage(t *testing.T) {
+	const pdSpan = 1 << 18 // pages under one PD table
+	for seed := int64(1); seed <= 8; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		got, want := New(), New()
+		var probes []mem.VPN
+		for op := 0; op < 60; op++ {
+			// Starts cluster just below PD boundaries, so ranges cross them.
+			vpn := mem.VPN(1+r.Intn(4))*pdSpan - mem.VPN(r.Intn(3000))
+			switch r.Intn(4) {
+			case 0:
+				// An anchor written into a leaf before its page is
+				// mapped: map a neighbour so the leaf exists, record the
+				// anchor, and let a later range land on it.
+				avpn := vpn.AlignDown(8)
+				got.Map4K(avpn+8, 7, 0)
+				want.Map4K(avpn+8, 7, 0)
+				contig := uint64(1 + r.Intn(5000))
+				got.SetAnchorContiguity(avpn, 8, contig)
+				want.SetAnchorContiguity(avpn, 8, contig)
+			case 1:
+				got.Unmap(vpn)
+				want.Unmap(vpn)
+			default:
+				pages := uint64(1 + r.Intn(2500))
+				pfn := mem.PFN(r.Int63n(1 << 30))
+				flags := PTE(r.Uint64()) & FlagMask // FlagHuge included: it must be dropped
+				got.MapRange4K(vpn, pfn, pages, flags)
+				mapRangeRef(want, vpn, pfn, pages, flags)
+			}
+			probes = append(probes, vpn, vpn+1, vpn+511, vpn+mem.VPN(r.Intn(3000)))
+			if op%10 == 9 {
+				requireSameTables(t, fmt.Sprintf("seed %d op %d", seed, op), got, want, probes)
+			}
+		}
+		// Collapsing a range-built leaf frees exactly its one table.
+		base := mem.VPN(pdSpan - mem.PagesPer2M)
+		got.MapRange4K(base, 1<<20, mem.PagesPer2M, FlagWrite)
+		mapRangeRef(want, base, 1<<20, mem.PagesPer2M, FlagWrite)
+		nodes := got.Stats().Nodes
+		if err := got.Collapse2M(base, 1<<20, FlagWrite); err != nil {
+			t.Fatal(err)
+		}
+		if err := want.Collapse2M(base, 1<<20, FlagWrite); err != nil {
+			t.Fatal(err)
+		}
+		if n := got.Stats().Nodes; n != nodes-1 {
+			t.Fatalf("seed %d: Collapse2M freed %d nodes, want 1", seed, nodes-n)
+		}
+		requireSameTables(t, fmt.Sprintf("seed %d collapse", seed), got, want, append(probes, base, base+100))
+	}
+}
+
+// TestMapRange4KEdges covers anchor bits under a range that crosses a
+// leaf boundary, the empty range, and a range whose last frame overflows
+// the PTE frame field: it panics before writing anything.
+func TestMapRange4KEdges(t *testing.T) {
+	pt := New()
+	pt.Map4K(1000, 1, 0) // the leaf of pages 512-1023 exists
+	pt.Map4K(1100, 1, 0) // and that of pages 1024-1535
+	pt.SetAnchorContiguity(1008, 8, 300)
+	pt.SetAnchorContiguity(1024, 8, 700)
+	pt.MapRange4K(1000, 5000, 100, FlagWrite)
+	if a, b := pt.AnchorContiguity(1008, 8), pt.AnchorContiguity(1024, 8); a != 300 || b != 700 {
+		t.Fatalf("anchors after a range fill = %d and %d, want 300 and 700", a, b)
+	}
+
+	pt = New()
+	pt.MapRange4K(100, 5, 0, FlagWrite)
+	if s := pt.Stats(); s.Nodes != 1 || s.PTEWrites != 0 {
+		t.Fatalf("empty range changed the table: %+v", s)
+	}
+	pt.MapRange4K(0x1234, MaxPFN, 1, 0) // the last frame is valid
+	before := rangeOf(pt)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("range past the frame field did not panic")
+			}
+		}()
+		pt.MapRange4K(0, MaxPFN-1, 3, 0)
+	}()
+	if after := rangeOf(pt); !reflect.DeepEqual(after, before) {
+		t.Fatalf("overflowing range wrote entries: %d -> %d", len(before), len(after))
+	}
+}
+
+// TestLeafTableIsPointerFree pins the leaf layout: exactly one 4 KiB page
+// of entries, no pointers for the garbage collector to scan.
+func TestLeafTableIsPointerFree(t *testing.T) {
+	if n := unsafe.Sizeof(leaf{}); n != 4096 {
+		t.Fatalf("leaf table is %d bytes, want 4096", n)
+	}
+	if k := reflect.TypeOf(leaf{}).Elem().Kind(); k != reflect.Uint64 {
+		t.Fatalf("leaf entries are %v, want uint64", k)
+	}
+}

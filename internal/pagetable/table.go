@@ -26,19 +26,33 @@ const entriesPerNode = 512
 // distributed contiguity encoding may span this many entries.
 const EntriesPerCacheBlock = 8
 
-// node is one 4 KiB page table page.
-type node struct {
+// leaf is one PT-level table page: 512 PTEs, exactly 4 KiB and free of
+// pointers, so the garbage collector never scans it.
+type leaf [entriesPerNode]PTE
+
+// dir is one interior table page (PML4, PDPT or PD level). As on x86,
+// the entry above a child table holds the table's synthetic frame (see
+// childAt); child holds the Go pointer the simulator follows. An
+// entry is either a child table or a huge leaf, never both: Map1G and
+// Map2M refuse an entry with a child, and mapping a 4 KiB page under a
+// huge entry replaces it with a table.
+type dir[C any] struct {
 	pte   [entriesPerNode]PTE
-	child [entriesPerNode]*node
-	// phys is the synthetic physical address of this table page, used by
-	// the detailed walk-latency model to derive the cache lines a
-	// hardware walker would touch.
-	phys mem.PhysAddr
+	child [entriesPerNode]*C
 }
+
+type (
+	pdTable   = dir[leaf]
+	pdptTable = dir[pdTable]
+	pml4Table = dir[pdptTable]
+)
 
 // tableRegionBase is where page table pages live in the synthetic
 // physical address space: a high region far above any mapped frame, so
-// walker lines never alias workload data.
+// walker lines never alias workload data. The root sits at the base and
+// every later table page at the next frame in allocation order; the
+// detailed walk-latency model derives the cache lines a hardware walker
+// would touch from these addresses.
 const tableRegionBase mem.PhysAddr = 1 << 46
 
 // Stats counts page table maintenance work, used for the anchor-distance
@@ -53,16 +67,13 @@ type Stats struct {
 // Table is a four-level page table supporting 4 KiB and 2 MiB mappings and
 // the paper's anchor-entry contiguity encoding.
 type Table struct {
-	root  *node
+	root  *pml4Table
 	stats Stats
 }
 
 // New creates an empty page table.
 func New() *Table {
-	t := &Table{root: &node{}}
-	t.stats.Nodes = 1
-	t.root.phys = tableRegionBase
-	return t
+	return &Table{root: new(pml4Table), stats: Stats{Nodes: 1}}
 }
 
 // Stats returns the accumulated maintenance counters.
@@ -75,32 +86,82 @@ func indexAt(vpn mem.VPN, l Level) int {
 	return int(uint64(vpn)>>shift) & (entriesPerNode - 1)
 }
 
-// ensurePath walks interior levels down to stop, allocating nodes.
-func (t *Table) ensurePath(vpn mem.VPN, stop Level) *node {
-	n := t.root
-	for l := LevelPML4; l < stop; l++ {
-		i := indexAt(vpn, l)
-		if n.child[i] == nil {
-			n.child[i] = &node{phys: tableRegionBase + mem.PhysAddr(t.stats.Nodes)*mem.PhysAddr(mem.Size4K)}
-			n.pte[i] = FlagPresent | FlagWrite | FlagUser
-			t.stats.Nodes++
-		}
-		n = n.child[i]
+// tableAddr is the synthetic physical address of the table page an
+// interior entry points to.
+func tableAddr(e PTE) mem.PhysAddr { return mem.PhysAddr(e.PFN()) << mem.Shift4K }
+
+// childAt returns d's child table at index i, allocating it when absent:
+// the new table takes the next frame of the table region, recorded in
+// d's entry.
+func childAt[C any](t *Table, d *dir[C], i int) *C {
+	if d.child[i] == nil {
+		d.child[i] = new(C)
+		frame := mem.PFN(tableRegionBase>>mem.Shift4K) + mem.PFN(t.stats.Nodes)
+		d.pte[i] = (FlagPresent | FlagWrite | FlagUser).WithPFN(frame)
+		t.stats.Nodes++
 	}
-	return n
+	return d.child[i]
+}
+
+// ensurePD returns the PD table covering vpn, allocating the path to it.
+func (t *Table) ensurePD(vpn mem.VPN) *pdTable {
+	return childAt(t, childAt(t, t.root, indexAt(vpn, LevelPML4)), indexAt(vpn, LevelPDPT))
+}
+
+// pdOf returns the PD table covering vpn, or nil.
+func (t *Table) pdOf(vpn mem.VPN) *pdTable {
+	pdpt := t.root.child[indexAt(vpn, LevelPML4)]
+	if pdpt == nil {
+		return nil
+	}
+	return pdpt.child[indexAt(vpn, LevelPDPT)]
+}
+
+// leafOf returns the leaf table holding vpn's 4 KiB entry, or nil.
+func (t *Table) leafOf(vpn mem.VPN) *leaf {
+	pd := t.pdOf(vpn)
+	if pd == nil {
+		return nil
+	}
+	return pd.child[indexAt(vpn, LevelPD)]
 }
 
 // Map4K installs a 4 KiB mapping vpn -> pfn with the given flags.
 // FlagPresent is implied.
-func (t *Table) Map4K(vpn mem.VPN, pfn mem.PFN, flags PTE) {
-	n := t.ensurePath(vpn, LevelPT)
-	i := indexAt(vpn, LevelPT)
-	// Preserve previously stored ignored bits (anchor contiguity written
-	// before a neighbouring page was mapped).
-	ign := n.pte[i].Ign()
-	n.pte[i] = (flags & FlagMask &^ FlagHuge) | FlagPresent
-	n.pte[i] = n.pte[i].WithPFN(pfn).WithIgn(ign)
-	t.stats.PTEWrites++
+func (t *Table) Map4K(vpn mem.VPN, pfn mem.PFN, flags PTE) { t.MapRange4K(vpn, pfn, 1, flags) }
+
+// MapRange4K installs pages consecutive 4 KiB mappings vpn+k -> pfn+k
+// with the given flags (FlagPresent implied). It descends from the root
+// once per leaf table and fills up to 512 entries there in a loop. Each
+// entry keeps its ignored bits: anchor contiguity written before the page
+// was mapped survives. It panics, before writing anything, when the last
+// frame exceeds the PTE frame field.
+func (t *Table) MapRange4K(vpn mem.VPN, pfn mem.PFN, pages uint64, flags PTE) {
+	if pages == 0 {
+		return
+	}
+	e := ((flags & FlagMask &^ FlagHuge) | FlagPresent).WithPFN(pfn)
+	if pages-1 > uint64(MaxPFN-pfn) {
+		panic(pfnOverflow(uint64(MaxPFN) + 1))
+	}
+	for pages > 0 {
+		lf := t.ensureLeaf(vpn)
+		i := indexAt(vpn, LevelPT)
+		n := min(pages, uint64(entriesPerNode-i))
+		for k := i; k < i+int(n); k++ {
+			lf[k] = lf[k]&ignMask | e
+			e += 1 << pfnShift
+		}
+		t.stats.PTEWrites += n
+		vpn += mem.VPN(n)
+		pages -= n
+	}
+}
+
+// ensureLeaf returns the leaf table holding vpn's entry, allocating the
+// path to it.
+func (t *Table) ensureLeaf(vpn mem.VPN) *leaf {
+	return childAt(t, t.ensurePD(vpn), indexAt(vpn, LevelPD))
 }
 
 // Map2M installs a 2 MiB mapping. vpn and pfn must be 512-page aligned.
@@ -108,13 +169,12 @@ func (t *Table) Map2M(vpn mem.VPN, pfn mem.PFN, flags PTE) error {
 	if !vpn.IsAligned(mem.PagesPer2M) || !pfn.IsAligned(mem.PagesPer2M) {
 		return fmt.Errorf("pagetable: unaligned 2M mapping vpn=%#x pfn=%#x", uint64(vpn), uint64(pfn))
 	}
-	n := t.ensurePath(vpn, LevelPD)
+	pd := t.ensurePD(vpn)
 	i := indexAt(vpn, LevelPD)
-	if n.child[i] != nil {
+	if pd.child[i] != nil {
 		return fmt.Errorf("pagetable: 2M mapping at vpn=%#x overlaps existing 4K table", uint64(vpn))
 	}
-	n.pte[i] = (flags & FlagMask) | FlagPresent | FlagHuge
-	n.pte[i] = n.pte[i].WithPFN(pfn)
+	pd.pte[i] = ((flags & FlagMask) | FlagPresent | FlagHuge).WithPFN(pfn)
 	t.stats.PTEWrites++
 	return nil
 }
@@ -127,13 +187,12 @@ func (t *Table) Map1G(vpn mem.VPN, pfn mem.PFN, flags PTE) error {
 	if !vpn.IsAligned(mem.PagesPer1G) || !pfn.IsAligned(mem.PagesPer1G) {
 		return fmt.Errorf("pagetable: unaligned 1G mapping vpn=%#x pfn=%#x", uint64(vpn), uint64(pfn))
 	}
-	n := t.ensurePath(vpn, LevelPDPT)
+	pdpt := childAt(t, t.root, indexAt(vpn, LevelPML4))
 	i := indexAt(vpn, LevelPDPT)
-	if n.child[i] != nil {
+	if pdpt.child[i] != nil {
 		return fmt.Errorf("pagetable: 1G mapping at vpn=%#x overlaps existing tables", uint64(vpn))
 	}
-	n.pte[i] = (flags & FlagMask) | FlagPresent | FlagHuge
-	n.pte[i] = n.pte[i].WithPFN(pfn)
+	pdpt.pte[i] = ((flags & FlagMask) | FlagPresent | FlagHuge).WithPFN(pfn)
 	t.stats.PTEWrites++
 	return nil
 }
@@ -146,21 +205,16 @@ func (t *Table) Collapse2M(base mem.VPN, pfn mem.PFN, flags PTE) error {
 	if !base.IsAligned(mem.PagesPer2M) || !pfn.IsAligned(mem.PagesPer2M) {
 		return fmt.Errorf("pagetable: unaligned 2M collapse vpn=%#x pfn=%#x", uint64(base), uint64(pfn))
 	}
-	n := t.root
-	for l := LevelPML4; l < LevelPD; l++ {
-		i := indexAt(base, l)
-		if n.child[i] == nil {
-			return fmt.Errorf("pagetable: no table to collapse at vpn=%#x", uint64(base))
-		}
-		n = n.child[i]
+	pd := t.pdOf(base)
+	if pd == nil {
+		return fmt.Errorf("pagetable: no table to collapse at vpn=%#x", uint64(base))
 	}
 	i := indexAt(base, LevelPD)
-	if n.child[i] == nil {
+	if pd.child[i] == nil {
 		return fmt.Errorf("pagetable: no 4K table under vpn=%#x", uint64(base))
 	}
-	n.child[i] = nil
-	n.pte[i] = (flags & FlagMask) | FlagPresent | FlagHuge
-	n.pte[i] = n.pte[i].WithPFN(pfn)
+	pd.child[i] = nil
+	pd.pte[i] = ((flags & FlagMask) | FlagPresent | FlagHuge).WithPFN(pfn)
 	t.stats.PTEWrites++
 	t.stats.Nodes--
 	return nil
@@ -170,27 +224,38 @@ func (t *Table) Collapse2M(base mem.VPN, pfn mem.PFN, flags PTE) error {
 // entry if vpn lies inside a huge page). It reports whether a mapping was
 // removed.
 func (t *Table) Unmap(vpn mem.VPN) bool {
-	n := t.root
-	for l := LevelPML4; l < LevelPT; l++ {
-		i := indexAt(vpn, l)
-		if (l == LevelPD || l == LevelPDPT) && n.pte[i].Present() && n.pte[i].Huge() {
-			n.pte[i] = 0
-			t.stats.PTEWrites++
-			return true
-		}
-		if n.child[i] == nil {
-			return false
-		}
-		n = n.child[i]
+	pdpt := t.root.child[indexAt(vpn, LevelPML4)]
+	if pdpt == nil {
+		return false
 	}
-	i := indexAt(vpn, LevelPT)
-	if !n.pte[i].Present() {
+	i := indexAt(vpn, LevelPDPT)
+	if pdpt.pte[i].Present() && pdpt.pte[i].Huge() {
+		pdpt.pte[i] = 0
+		t.stats.PTEWrites++
+		return true
+	}
+	pd := pdpt.child[i]
+	if pd == nil {
+		return false
+	}
+	i = indexAt(vpn, LevelPD)
+	if pd.pte[i].Present() && pd.pte[i].Huge() {
+		pd.pte[i] = 0
+		t.stats.PTEWrites++
+		return true
+	}
+	lf := pd.child[i]
+	if lf == nil {
+		return false
+	}
+	i = indexAt(vpn, LevelPT)
+	if !lf[i].Present() {
 		return false
 	}
 	// Clear the entry but keep nothing: contiguity bits of an unmapped
 	// page are stale by definition and the OS rewrites anchors after
 	// unmap (Section 3.3, "Updating Memory Mapping").
-	n.pte[i] = 0
+	lf[i] = 0
 	t.stats.PTEWrites++
 	return true
 }
@@ -213,37 +278,29 @@ type WalkResult struct {
 // Walk translates vpn, descending the radix tree like the hardware walker.
 func (t *Table) Walk(vpn mem.VPN) WalkResult {
 	t.stats.Walks++
-	n := t.root
-	levels := 0
-	for l := LevelPML4; l < LevelPT; l++ {
-		levels++
-		i := indexAt(vpn, l)
-		if (l == LevelPD || l == LevelPDPT) && n.pte[i].Present() && n.pte[i].Huge() {
-			class := mem.Class2M
-			if l == LevelPDPT {
-				class = mem.Class1G
-			}
-			base := vpn.AlignDown(class.BasePages())
-			return WalkResult{
-				Present: true,
-				PFN:     n.pte[i].PFN() + mem.PFN(vpn-base),
-				Class:   class,
-				Entry:   n.pte[i],
-				BaseVPN: base,
-				BasePFN: n.pte[i].PFN(),
-				Levels:  levels,
-			}
-		}
-		if n.child[i] == nil {
-			return WalkResult{Levels: levels}
-		}
-		n = n.child[i]
+	pdpt := t.root.child[indexAt(vpn, LevelPML4)]
+	if pdpt == nil {
+		return WalkResult{Levels: 1}
 	}
-	levels++
-	i := indexAt(vpn, LevelPT)
-	e := n.pte[i]
+	i := indexAt(vpn, LevelPDPT)
+	if e := pdpt.pte[i]; e.Present() && e.Huge() {
+		return hugeWalk(vpn, e, mem.Class1G, 2)
+	}
+	pd := pdpt.child[i]
+	if pd == nil {
+		return WalkResult{Levels: 2}
+	}
+	i = indexAt(vpn, LevelPD)
+	if e := pd.pte[i]; e.Present() && e.Huge() {
+		return hugeWalk(vpn, e, mem.Class2M, 3)
+	}
+	lf := pd.child[i]
+	if lf == nil {
+		return WalkResult{Levels: 3}
+	}
+	e := lf[indexAt(vpn, LevelPT)]
 	if !e.Present() {
-		return WalkResult{Levels: levels}
+		return WalkResult{Levels: 4}
 	}
 	return WalkResult{
 		Present: true,
@@ -251,6 +308,21 @@ func (t *Table) Walk(vpn mem.VPN) WalkResult {
 		Class:   mem.Class4K,
 		Entry:   e,
 		BaseVPN: vpn,
+		BasePFN: e.PFN(),
+		Levels:  4,
+	}
+}
+
+// hugeWalk is the result of a walk ending at huge entry e after levels
+// table reads.
+func hugeWalk(vpn mem.VPN, e PTE, class mem.PageClass, levels int) WalkResult {
+	base := vpn.AlignDown(class.BasePages())
+	return WalkResult{
+		Present: true,
+		PFN:     e.PFN() + mem.PFN(vpn-base),
+		Class:   class,
+		Entry:   e,
+		BaseVPN: base,
 		BasePFN: e.PFN(),
 		Levels:  levels,
 	}
@@ -265,30 +337,32 @@ func (t *Table) Walk(vpn mem.VPN) WalkResult {
 //tlbvet:hotpath
 func (t *Table) WalkFast(vpn mem.VPN) (pfn mem.PFN, class mem.PageClass, baseVPN mem.VPN, basePFN mem.PFN, present bool) {
 	t.stats.Walks++
-	n := t.root.child[indexAt(vpn, LevelPML4)]
-	if n == nil {
+	pdpt := t.root.child[indexAt(vpn, LevelPML4)]
+	if pdpt == nil {
 		return
 	}
 	i := indexAt(vpn, LevelPDPT)
-	if e := n.pte[i]; e.Present() && e.Huge() {
+	if e := pdpt.pte[i]; e.Present() && e.Huge() {
 		// PagesPer1G, not Class1G.BasePages(): the method inlines the
 		// Shift() switch whose panic string is a (dead) heap escape,
 		// which allocgate would flag inside this hotpath region.
 		base := vpn.AlignDown(mem.PagesPer1G)
 		return e.PFN() + mem.PFN(vpn-base), mem.Class1G, base, e.PFN(), true
 	}
-	if n = n.child[i]; n == nil {
+	pd := pdpt.child[i]
+	if pd == nil {
 		return
 	}
 	i = indexAt(vpn, LevelPD)
-	if e := n.pte[i]; e.Present() && e.Huge() {
+	if e := pd.pte[i]; e.Present() && e.Huge() {
 		base := vpn.AlignDown(mem.PagesPer2M)
 		return e.PFN() + mem.PFN(vpn-base), mem.Class2M, base, e.PFN(), true
 	}
-	if n = n.child[i]; n == nil {
+	lf := pd.child[i]
+	if lf == nil {
 		return
 	}
-	e := n.pte[indexAt(vpn, LevelPT)]
+	e := lf[indexAt(vpn, LevelPT)]
 	if !e.Present() {
 		return
 	}
@@ -306,78 +380,71 @@ func (t *Table) WalkFast(vpn mem.VPN) (pfn mem.PFN, class mem.PageClass, baseVPN
 //
 //tlbvet:hotpath
 func (t *Table) LineBitmap(vpn mem.VPN, pfnBase mem.PFN) uint8 {
-	n := t.root.child[indexAt(vpn, LevelPML4)]
-	if n == nil {
+	pdpt := t.root.child[indexAt(vpn, LevelPML4)]
+	if pdpt == nil {
 		return 0
 	}
-	// A huge PDPT or PD entry never has a child table (Map1G/Map2M
-	// refuse one, Collapse2M drops it), so following children alone
-	// reaches only 4 KiB leaves.
-	if n = n.child[indexAt(vpn, LevelPDPT)]; n == nil {
+	// A huge PDPT or PD entry never has a child table, so following
+	// children alone reaches only 4 KiB leaves.
+	pd := pdpt.child[indexAt(vpn, LevelPDPT)]
+	if pd == nil {
 		return 0
 	}
-	if n = n.child[indexAt(vpn, LevelPD)]; n == nil {
+	lf := pd.child[indexAt(vpn, LevelPD)]
+	if lf == nil {
 		return 0
 	}
 	first := indexAt(vpn, LevelPT) &^ (EntriesPerCacheBlock - 1)
 	var bitmap uint8
 	for off := 0; off < EntriesPerCacheBlock; off++ {
-		if e := n.pte[first+off]; e.Present() && e.PFN() == pfnBase+mem.PFN(off) {
+		if e := lf[first+off]; e.Present() && e.PFN() == pfnBase+mem.PFN(off) {
 			bitmap |= 1 << uint(off)
 		}
 	}
 	return bitmap
 }
 
-// leafNode returns the PT-level node containing vpn's 4 KiB entry, or nil.
-func (t *Table) leafNode(vpn mem.VPN) *node {
-	n := t.root
-	for l := LevelPML4; l < LevelPT; l++ {
-		i := indexAt(vpn, l)
-		if n.child[i] == nil {
-			return nil
-		}
-		n = n.child[i]
-	}
-	return n
-}
-
 // Range calls fn for every present 4 KiB leaf entry in ascending VPN order.
-// 2 MiB mappings are reported once with their base VPN and class Class2M.
-// fn returning false stops the iteration.
+// 2 MiB mappings are reported once with their base VPN and class Class2M
+// (1 GiB mappings likewise, with Class1G). fn returning false stops the
+// iteration. fn may rewrite leaf entries in place (SweepAnchors does);
+// each entry is read when the iteration reaches it.
 func (t *Table) Range(fn func(vpn mem.VPN, e PTE, class mem.PageClass) bool) {
-	t.rangeNode(t.root, 0, LevelPML4, fn)
-}
-
-func (t *Table) rangeNode(n *node, baseVPN mem.VPN, l Level, fn func(mem.VPN, PTE, mem.PageClass) bool) bool {
-	span := mem.VPN(1) << uint(9*(int(LevelPT)-int(l)))
-	for i := 0; i < entriesPerNode; i++ {
-		vpn := baseVPN + mem.VPN(i)*span
-		if l == LevelPT {
-			if n.pte[i].Present() {
-				if !fn(vpn, n.pte[i], mem.Class4K) {
-					return false
+	for i4, pdpt := range &t.root.child {
+		if pdpt == nil {
+			continue
+		}
+		base1G := mem.VPN(i4) << 27
+		for i3, pd := range &pdpt.child {
+			vpn2M := base1G + mem.VPN(i3)<<18
+			if e := pdpt.pte[i3]; e.Present() && e.Huge() {
+				if !fn(vpn2M, e, mem.Class1G) {
+					return
+				}
+				continue
+			}
+			if pd == nil {
+				continue
+			}
+			for i2, lf := range &pd.child {
+				vpn4K := vpn2M + mem.VPN(i2)<<9
+				if e := pd.pte[i2]; e.Present() && e.Huge() {
+					if !fn(vpn4K, e, mem.Class2M) {
+						return
+					}
+					continue
+				}
+				if lf == nil {
+					continue
+				}
+				for i1 := 0; i1 < entriesPerNode; i1++ {
+					if e := lf[i1]; e.Present() && !fn(vpn4K+mem.VPN(i1), e, mem.Class4K) {
+						return
+					}
 				}
 			}
-			continue
-		}
-		if (l == LevelPD || l == LevelPDPT) && n.pte[i].Present() && n.pte[i].Huge() {
-			class := mem.Class2M
-			if l == LevelPDPT {
-				class = mem.Class1G
-			}
-			if !fn(vpn, n.pte[i], class) {
-				return false
-			}
-			continue
-		}
-		if n.child[i] != nil {
-			if !t.rangeNode(n.child[i], vpn, l+1, fn) {
-				return false
-			}
 		}
 	}
-	return true
 }
 
 // WalkLines returns the physical addresses of the page table entries a
@@ -386,18 +453,24 @@ func (t *Table) rangeNode(n *node, baseVPN mem.VPN, l Level, fn func(mem.VPN, PT
 // feeds these through a cache hierarchy.
 func (t *Table) WalkLines(vpn mem.VPN) []mem.PhysAddr {
 	out := make([]mem.PhysAddr, 0, int(numLevels))
-	n := t.root
-	for l := LevelPML4; l < LevelPT; l++ {
-		i := indexAt(vpn, l)
-		out = append(out, n.phys+mem.PhysAddr(i*8))
-		if (l == LevelPD || l == LevelPDPT) && n.pte[i].Present() && n.pte[i].Huge() {
-			return out
-		}
-		if n.child[i] == nil {
-			return out
-		}
-		n = n.child[i]
+	entry := func(table mem.PhysAddr, l Level) { out = append(out, table+mem.PhysAddr(indexAt(vpn, l)*8)) }
+	i := indexAt(vpn, LevelPML4)
+	entry(tableRegionBase, LevelPML4)
+	pdpt := t.root.child[i]
+	if pdpt == nil {
+		return out
 	}
-	i := indexAt(vpn, LevelPT)
-	return append(out, n.phys+mem.PhysAddr(i*8))
+	entry(tableAddr(t.root.pte[i]), LevelPDPT)
+	i = indexAt(vpn, LevelPDPT)
+	pd := pdpt.child[i]
+	if e := pdpt.pte[i]; (e.Present() && e.Huge()) || pd == nil {
+		return out
+	}
+	entry(tableAddr(pdpt.pte[i]), LevelPD)
+	i = indexAt(vpn, LevelPD)
+	if e := pd.pte[i]; (e.Present() && e.Huge()) || pd.child[i] == nil {
+		return out
+	}
+	entry(tableAddr(pd.pte[i]), LevelPT)
+	return out
 }

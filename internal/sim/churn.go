@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"hybridtlb/internal/mapping"
 	"hybridtlb/internal/mem"
 	"hybridtlb/internal/mmu"
 	"hybridtlb/internal/osmem"
@@ -42,17 +41,18 @@ type ChurnStats struct {
 // workload never faults; only the physical side and the affected anchors
 // change.
 func RunWithChurn(cfg ChurnConfig) (Result, ChurnStats, error) {
+	return RunWithChurnFrom(cfg, MappingSpec.Generate)
+}
+
+// RunWithChurnFrom is RunWithChurn with the initial mapping drawn from
+// maps.
+func RunWithChurnFrom(cfg ChurnConfig, maps MappingSource) (Result, ChurnStats, error) {
 	base := cfg.Config.withDefaults()
 	if cfg.ChurnIntervalInstructions == 0 || cfg.ChurnPages == 0 {
 		return Result{}, ChurnStats{}, fmt.Errorf("sim: churn interval and size must be positive")
 	}
 
-	cl, err := mapping.Generate(base.Scenario, mapping.Config{
-		FootprintPages: base.FootprintPages,
-		Seed:           base.Seed,
-		Pressure:       base.Pressure,
-		FineGrained:    base.Workload.FineGrainedAlloc,
-	})
+	cl, err := maps(MappingOf(base))
 	if err != nil {
 		return Result{}, ChurnStats{}, fmt.Errorf("sim: generating mapping: %w", err)
 	}

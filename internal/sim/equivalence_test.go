@@ -42,7 +42,7 @@ func TestBatchedSerialEquivalence(t *testing.T) {
 		for _, scenario := range mapping.All() {
 			t.Run(fmt.Sprintf("%s/%s", scheme, scenario), func(t *testing.T) {
 				cfg := equivCfg(t, scheme, scenario, "mcf")
-				serial, err := run(cfg, driveSerial)
+				serial, err := run(cfg, MappingSpec.Generate, driveSerial)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -65,7 +65,7 @@ func TestBatchedSerialEquivalenceMultiRegion(t *testing.T) {
 		t.Run(scenario.String(), func(t *testing.T) {
 			cfg := equivCfg(t, mmu.Anchor, scenario, "mcf")
 			cfg.MultiRegionAnchors = true
-			serial, err := run(cfg, driveSerial)
+			serial, err := run(cfg, MappingSpec.Generate, driveSerial)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -156,7 +156,7 @@ func TestProbeEquivalence(t *testing.T) {
 			var serialSamples, batchedSamples []ProbeSample
 			cfg := base
 			cfg.Probe = func(s ProbeSample) { serialSamples = append(serialSamples, s) }
-			serial, err := run(cfg, driveSerial)
+			serial, err := run(cfg, MappingSpec.Generate, driveSerial)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -193,7 +193,7 @@ func TestShardSerialEquivalence(t *testing.T) {
 			for _, scenario := range mapping.All() {
 				t.Run(fmt.Sprintf("k%d/%s/%s", shards, scheme, scenario), func(t *testing.T) {
 					cfg := equivCfg(t, scheme, scenario, "mcf")
-					serial, err := run(cfg, driveSerial)
+					serial, err := run(cfg, MappingSpec.Generate, driveSerial)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -219,7 +219,7 @@ func TestShardSerialEquivalenceMultiRegion(t *testing.T) {
 		t.Run(scenario.String(), func(t *testing.T) {
 			cfg := equivCfg(t, mmu.Anchor, scenario, "mcf")
 			cfg.MultiRegionAnchors = true
-			serial, err := run(cfg, driveSerial)
+			serial, err := run(cfg, MappingSpec.Generate, driveSerial)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -241,7 +241,7 @@ func TestShardSerialEquivalenceMultiRegion(t *testing.T) {
 func TestShardFixedDistance(t *testing.T) {
 	cfg := equivCfg(t, mmu.Anchor, mapping.Medium, "mcf")
 	cfg.FixedDistance = 8
-	serial, err := run(cfg, driveSerial)
+	serial, err := run(cfg, MappingSpec.Generate, driveSerial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestShardProbeEquivalence(t *testing.T) {
 			cfg := base
 			cfg.Shards = 0
 			cfg.Probe = func(s ProbeSample) { serialSamples = append(serialSamples, s) }
-			serial, err := run(cfg, driveSerial)
+			serial, err := run(cfg, MappingSpec.Generate, driveSerial)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -311,7 +311,7 @@ func TestShardWarmupEdges(t *testing.T) {
 			cfg := equivCfg(t, mmu.Anchor, mapping.Medium, "gups")
 			cfg.Accesses = total
 			cfg.WarmupAccesses = warm
-			serial, err := run(cfg, driveSerial)
+			serial, err := run(cfg, MappingSpec.Generate, driveSerial)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -393,7 +393,7 @@ func TestShardFallbacks(t *testing.T) {
 	t.Run("detailed-walk", func(t *testing.T) {
 		cfg := equivCfg(t, mmu.Anchor, mapping.Medium, "mcf")
 		cfg.DetailedWalk = true
-		serial, err := run(cfg, driveSerial)
+		serial, err := run(cfg, MappingSpec.Generate, driveSerial)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -410,7 +410,7 @@ func TestShardFallbacks(t *testing.T) {
 		cfg := equivCfg(t, mmu.Cluster, mapping.Low, "mcf")
 		cfg.Accesses = 40
 		cfg.WarmupAccesses = 7
-		serial, err := run(cfg, driveSerial)
+		serial, err := run(cfg, MappingSpec.Generate, driveSerial)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -434,7 +434,7 @@ func TestWarmupOnBatchBoundary(t *testing.T) {
 			cfg := equivCfg(t, mmu.Anchor, mapping.Medium, "gups")
 			cfg.Accesses = 3 * batchRecords
 			cfg.WarmupAccesses = warm
-			serial, err := run(cfg, driveSerial)
+			serial, err := run(cfg, MappingSpec.Generate, driveSerial)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 
-	"hybridtlb/internal/mapping"
 	"hybridtlb/internal/mmu"
 	"hybridtlb/internal/osmem"
 	"hybridtlb/internal/trace"
@@ -64,12 +63,9 @@ func RunMultiProcess(cfg MultiProcessConfig) (MultiProcessResult, error) {
 	states := make([]*procState, 0, len(cfg.Processes))
 	for i, pc := range cfg.Processes {
 		pc = pc.withDefaults()
-		cl, err := mapping.Generate(pc.Scenario, mapping.Config{
-			FootprintPages: pc.FootprintPages,
-			Seed:           pc.Seed + int64(i), // distinct mappings per process
-			Pressure:       pc.Pressure,
-			FineGrained:    pc.Workload.FineGrainedAlloc,
-		})
+		spec := MappingOf(pc)
+		spec.Config.Seed += int64(i) // distinct mappings per process
+		cl, err := spec.Generate()
 		if err != nil {
 			return MultiProcessResult{}, fmt.Errorf("sim: process %d mapping: %w", i, err)
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"hybridtlb/internal/core"
-	"hybridtlb/internal/mapping"
 	"hybridtlb/internal/mmu"
 	"hybridtlb/internal/osmem"
 	"hybridtlb/internal/trace"
@@ -23,12 +22,7 @@ func RunTrace(cfg Config, src trace.Source) (Result, error) {
 func runTrace(cfg Config, src trace.Source, driveFn driveFunc) (Result, error) {
 	cfg = cfg.withDefaults()
 
-	cl, err := mapping.Generate(cfg.Scenario, mapping.Config{
-		FootprintPages: cfg.FootprintPages,
-		Seed:           cfg.Seed,
-		Pressure:       cfg.Pressure,
-		FineGrained:    cfg.Workload.FineGrainedAlloc,
-	})
+	cl, err := MappingOf(cfg).Generate()
 	if err != nil {
 		return Result{}, fmt.Errorf("sim: generating mapping: %w", err)
 	}

@@ -125,6 +125,34 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// MappingSpec names the mapping a run installs: its scenario and the
+// generator's inputs. Runs with equal specs install identical chunk lists.
+type MappingSpec struct {
+	Scenario mapping.Scenario
+	Config   mapping.Config
+}
+
+// MappingOf returns the spec of the mapping cfg's run installs: the one
+// place a run's mapping inputs are derived, for every drive here and for
+// the sweep engine's per-batch mapping memo.
+func MappingOf(cfg Config) MappingSpec {
+	cfg = cfg.withDefaults()
+	return MappingSpec{Scenario: cfg.Scenario, Config: mapping.Config{
+		FootprintPages: cfg.FootprintPages,
+		Seed:           cfg.Seed,
+		Pressure:       cfg.Pressure,
+		FineGrained:    cfg.Workload.FineGrainedAlloc,
+	}}
+}
+
+// Generate draws the spec's chunk list.
+func (s MappingSpec) Generate() (mem.ChunkList, error) { return mapping.Generate(s.Scenario, s.Config) }
+
+// MappingSource supplies the chunk list of a spec. Runs only read the
+// list (the OS installs a copy), so a source may hand one list to many
+// concurrent runs.
+type MappingSource func(MappingSpec) (mem.ChunkList, error)
+
 // Result reports one simulation.
 type Result struct {
 	Scheme   mmu.Scheme
@@ -207,7 +235,12 @@ func (r Result) L2Breakdown() (regular, coalesced, miss float64) {
 type driveFunc func(m mmu.MMU, proc *osmem.Process, src trace.Source, cfg Config, res *Result)
 
 // Run executes one simulation.
-func Run(cfg Config) (Result, error) { return run(cfg, driveFor(cfg)) }
+func Run(cfg Config) (Result, error) { return RunFrom(cfg, MappingSpec.Generate) }
+
+// RunFrom is Run with the mapping drawn from maps.
+func RunFrom(cfg Config, maps MappingSource) (Result, error) {
+	return run(cfg, maps, driveFor(cfg))
+}
 
 // driveFor selects the drive implementation for a config: the
 // shard-parallel engine when sharding was requested, the batched drive
@@ -220,15 +253,10 @@ func driveFor(cfg Config) driveFunc {
 	return drive
 }
 
-func run(cfg Config, driveFn driveFunc) (Result, error) {
+func run(cfg Config, maps MappingSource, driveFn driveFunc) (Result, error) {
 	cfg = cfg.withDefaults()
 
-	cl, err := mapping.Generate(cfg.Scenario, mapping.Config{
-		FootprintPages: cfg.FootprintPages,
-		Seed:           cfg.Seed,
-		Pressure:       cfg.Pressure,
-		FineGrained:    cfg.Workload.FineGrainedAlloc,
-	})
+	cl, err := maps(MappingOf(cfg))
 	if err != nil {
 		return Result{}, fmt.Errorf("sim: generating mapping: %w", err)
 	}

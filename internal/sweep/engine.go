@@ -97,7 +97,10 @@ type Engine struct {
 	// runJob is the execution function; tests substitute it to inject
 	// blocking and completion-order inversions (probabilistic faults
 	// belong in Options.Faults).
-	runJob func(Job) (sim.Result, sim.ChurnStats, error)
+	runJob func(Job, sim.MappingSource) (sim.Result, sim.ChurnStats, error)
+	// generate draws a mapping for a batch's memo; tests substitute it
+	// to count generations and inject failures.
+	generate sim.MappingSource
 
 	mu    sync.Mutex
 	cache map[string]cached
@@ -124,6 +127,7 @@ func New(opts Options) *Engine {
 		sleep:        sleep,
 		probe:        opts.Probe,
 		runJob:       execute,
+		generate:     sim.MappingSpec.Generate,
 		cache:        make(map[string]cached),
 	}
 }
@@ -135,16 +139,16 @@ func (e *Engine) Stats() CacheStats {
 	return e.stats
 }
 
-// execute runs one job.
-func execute(j Job) (res sim.Result, churn sim.ChurnStats, err error) {
+// execute runs one job, drawing its mapping from maps.
+func execute(j Job, maps sim.MappingSource) (res sim.Result, churn sim.ChurnStats, err error) {
 	if j.ChurnIntervalInstructions != 0 || j.ChurnPages != 0 {
-		return sim.RunWithChurn(sim.ChurnConfig{
+		return sim.RunWithChurnFrom(sim.ChurnConfig{
 			Config:                    j.Config,
 			ChurnIntervalInstructions: j.ChurnIntervalInstructions,
 			ChurnPages:                j.ChurnPages,
-		})
+		}, maps)
 	}
-	res, err = sim.Run(j.Config)
+	res, err = sim.RunFrom(j.Config, maps)
 	return res, sim.ChurnStats{}, err
 }
 
@@ -152,7 +156,7 @@ func execute(j Job) (res sim.Result, churn sim.ChurnStats, err error) {
 // in the simulator (or injected by the fault hook) into a per-job error
 // naming the job, so one failing cell cannot kill the sweep. Panics are
 // marked Permanent: re-running a crashing cell cannot help.
-func (e *Engine) safeRun(ctx context.Context, j Job, key string, attempt int) (res sim.Result, churn sim.ChurnStats, err error) {
+func (e *Engine) safeRun(ctx context.Context, j Job, key string, attempt int, maps sim.MappingSource) (res sim.Result, churn sim.ChurnStats, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = Permanent(fmt.Errorf("job %s: panic: %v", j, p))
@@ -169,7 +173,7 @@ func (e *Engine) safeRun(ctx context.Context, j Job, key string, attempt int) (r
 			return res, churn, fmt.Errorf("job %s: %w", j, f.err)
 		}
 	}
-	res, churn, err = e.runJob(j)
+	res, churn, err = e.runJob(j, maps)
 	if err != nil {
 		err = fmt.Errorf("job %s: %w", j, err)
 	}
@@ -177,9 +181,10 @@ func (e *Engine) safeRun(ctx context.Context, j Job, key string, attempt int) (r
 }
 
 // runTask resolves one unique cell: durable-store probe first, then
-// simulation with the retry policy. fromStore reports that the result
-// was loaded rather than computed (so it must not be written back).
-func (e *Engine) runTask(ctx context.Context, t *task) (res sim.Result, churn sim.ChurnStats, fromStore bool, err error) {
+// simulation with the retry policy, drawing the mapping from maps.
+// fromStore reports that the result was loaded rather than computed (so
+// it must not be written back).
+func (e *Engine) runTask(ctx context.Context, t *task, maps sim.MappingSource) (res sim.Result, churn sim.ChurnStats, fromStore bool, err error) {
 	if e.store != nil && !e.disableCache {
 		if data, ok := e.store.Load(t.key); ok {
 			if c, ok := decodeEntry(data); ok {
@@ -195,7 +200,7 @@ func (e *Engine) runTask(ctx context.Context, t *task) (res sim.Result, churn si
 		job.Config.Probe = e.probe(job)
 	}
 	for attempt := 1; ; attempt++ {
-		res, churn, err = e.safeRun(ctx, job, t.key, attempt)
+		res, churn, err = e.safeRun(ctx, job, t.key, attempt, maps)
 		if err == nil || attempt >= e.retry.MaxAttempts || IsPermanent(err) {
 			return res, churn, false, err
 		}
@@ -300,6 +305,7 @@ func (e *Engine) RunWithProgress(ctx context.Context, jobs []Job, progress Progr
 	if workers > len(tasks) {
 		workers = len(tasks)
 	}
+	memo := newMappingMemo(e.generate)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -320,7 +326,7 @@ func (e *Engine) RunWithProgress(ctx context.Context, jobs []Job, progress Progr
 					report(t.positions...)
 					continue
 				}
-				res, churn, fromStore, err := e.runTask(ctx, t)
+				res, churn, fromStore, err := e.runTask(ctx, t, memo.get)
 				if err == nil && !e.disableCache {
 					e.mu.Lock()
 					e.cache[t.key] = cached{res: res, churn: churn}
