@@ -474,29 +474,6 @@ func BenchmarkTranslateHotPath(b *testing.B) {
 					}
 				}
 			})
-			b.Run("sharded", func(b *testing.B) {
-				// Whole-run variant: each iteration block replays the full
-				// record buffer through sim.RunTrace on the shard-parallel
-				// engine, so ns/op is EFFECTIVE per-access cost including
-				// mapping install, state cloning, and the fixpoint's
-				// re-runs — the honest end-to-end figure a sharded
-				// experiment sees. Per-access accounting: one b.N unit is
-				// one access, one run covers len(recs) of them. Shard
-				// spawn/merge may allocate (only the batched variant is
-				// gated by -require-zero-allocs).
-				_, _, cfg, recs, _ := hotPathSetup(b, scheme)
-				cfg.WarmupAccesses = warmup
-				cfg.Accesses = uint64(len(recs) - warmup)
-				cfg.Shards = 4
-				src := trace.NewSliceSource(recs)
-				b.ResetTimer()
-				for done := 0; done < b.N; done += len(recs) {
-					src.Reset()
-					if _, err := sim.RunTrace(cfg, src); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
 			b.Run("batched", func(b *testing.B) {
 				m, proc, cfg, recs, vpns := hotPathSetup(b, scheme)
 				dynamic := cfg.Scheme.Policy().Anchors

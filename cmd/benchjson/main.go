@@ -90,12 +90,8 @@ func main() {
 		if batched.NsPerAccess > 0 {
 			speedup = serial.NsPerAccess / batched.NsPerAccess
 		}
-		fmt.Fprintf(os.Stderr, "benchjson: %-12s serial %8.1f ns  batched %8.1f ns  (%.2fx, %d allocs/access)",
+		fmt.Fprintf(os.Stderr, "benchjson: %-12s serial %8.1f ns  batched %8.1f ns  (%.2fx, %d allocs/access)\n",
 			s, serial.NsPerAccess, batched.NsPerAccess, speedup, batched.AllocsPerAccess)
-		if sharded, ok := rep.Schemes[s]["sharded"]; ok {
-			fmt.Fprintf(os.Stderr, "  sharded %8.1f ns", sharded.NsPerAccess)
-		}
-		fmt.Fprintln(os.Stderr)
 	}
 	if *out != "" {
 		fmt.Fprintf(os.Stderr, "benchjson: wrote %s (%d schemes)\n", *out, len(schemes))

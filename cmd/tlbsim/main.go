@@ -23,19 +23,18 @@ import (
 
 func main() {
 	var (
-		scheme    = flag.String("scheme", "anchor", "translation scheme: "+strings.Join(hybridtlb.Schemes(), ", "))
-		wl        = flag.String("workload", "gups", "benchmark: "+strings.Join(hybridtlb.Workloads(), ", "))
-		scenario  = flag.String("mapping", "demand", "mapping scenario: "+strings.Join(hybridtlb.Scenarios(), ", "))
-		accesses  = flag.Uint64("accesses", 1_000_000, "measured memory accesses (plus 10% warmup)")
-		footprint = flag.Uint64("footprint", 0, "footprint in 4KiB pages (0: workload default)")
-		seed      = flag.Int64("seed", 42, "random seed for mapping and workload")
-		pressure  = flag.Float64("pressure", 0, "background fragmentation in [0,1] (demand/eager)")
-		distance  = flag.Uint64("distance", 0, "pin the anchor distance (0: dynamic selection)")
-		static    = flag.Bool("static-ideal", false, "exhaustively search all anchor distances and report the best")
-		costModel = flag.String("cost-model", "", "distance selection cost model: entry-count (default), coverage-weighted, capacity-aware")
-		regions   = flag.Bool("multi-region", false, "per-region anchor distances (Section 4.2 extension)")
+		scheme      = flag.String("scheme", "anchor", "translation scheme: "+strings.Join(hybridtlb.Schemes(), ", "))
+		wl          = flag.String("workload", "gups", "benchmark: "+strings.Join(hybridtlb.Workloads(), ", "))
+		scenario    = flag.String("mapping", "demand", "mapping scenario: "+strings.Join(hybridtlb.Scenarios(), ", "))
+		accesses    = flag.Uint64("accesses", 1_000_000, "measured memory accesses (plus 10% warmup)")
+		footprint   = flag.Uint64("footprint", 0, "footprint in 4KiB pages (0: workload default)")
+		seed        = flag.Int64("seed", 42, "random seed for mapping and workload")
+		pressure    = flag.Float64("pressure", 0, "background fragmentation in [0,1] (demand/eager)")
+		distance    = flag.Uint64("distance", 0, "pin the anchor distance (0: dynamic selection)")
+		static      = flag.Bool("static-ideal", false, "exhaustively search all anchor distances and report the best")
+		costModel   = flag.String("cost-model", "", "distance selection cost model: entry-count (default), coverage-weighted, capacity-aware")
+		regions     = flag.Bool("multi-region", false, "per-region anchor distances (Section 4.2 extension)")
 		tracePath   = flag.String("trace", "", "replay a recorded trace file (see tracegen; format auto-detected) instead of generating accesses")
-		shards      = flag.Int("shards", 0, "split the run across N parallel shard simulators (byte-identical results; 0/1: serial)")
 		epochs      = flag.Bool("epochs", false, "print one line per epoch boundary to stderr (cumulative stats, anchor distance)")
 		epochInstrs = flag.Uint64("epoch-instrs", 0, "epoch length in instructions (0: the paper's 10,000,000)")
 		showVersion = flag.Bool("version", false, "print the build identity and exit")
@@ -60,7 +59,6 @@ func main() {
 		MultiRegionAnchors:  *regions,
 		TracePath:           *tracePath,
 		EpochInstructions:   *epochInstrs,
-		Shards:              *shards,
 	}
 	if *epochs {
 		cfg.Probe = func(s hybridtlb.EpochSample) {

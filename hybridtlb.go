@@ -350,10 +350,12 @@ func (s *System) SetAnchorDistance(pages uint64) error {
 // adjacent chunks become physically adjacent (Linux memory compaction),
 // anchors are rewritten, and the anchor distance is re-selected against
 // the new contiguity histogram. targetPhysPage is the base of the free
-// zone receiving the compacted image. It returns how many chunks remain.
-func (s *System) Compact(targetPhysPage uint64) int {
-	res := s.proc.Compact(mem.PFN(targetPhysPage), osmem.DefaultSweepCost)
-	return res.ChunksAfter
+// zone receiving the compacted image. It returns how many chunks remain,
+// or an error, with nothing moved, when the image would end past the
+// last frame a page table entry can hold.
+func (s *System) Compact(targetPhysPage uint64) (int, error) {
+	res, err := s.proc.Compact(mem.PFN(targetPhysPage), osmem.DefaultSweepCost)
+	return res.ChunksAfter, err
 }
 
 // PromoteHugePages runs a khugepaged-style pass: 2 MiB-aligned congruent

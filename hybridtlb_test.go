@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"hybridtlb/internal/mem"
 	"hybridtlb/internal/mmu"
 )
 
@@ -508,8 +509,8 @@ func TestCompactAndPromotePublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	distBefore := s.AnchorDistance()
-	if got := s.Compact(1 << 26); got != 1 {
-		t.Errorf("chunks after compaction = %d, want 1", got)
+	if got, err := s.Compact(1 << 26); err != nil || got != 1 {
+		t.Errorf("chunks after compaction = %d, %v; want 1", got, err)
 	}
 	if s.AnchorDistance() <= distBefore {
 		t.Errorf("distance did not grow after compaction: %d -> %d", distBefore, s.AnchorDistance())
@@ -533,6 +534,59 @@ func TestCompactAndPromotePublicAPI(t *testing.T) {
 	if n := q.PromoteHugePages(); n != 1 {
 		t.Errorf("promoted = %d, want 1", n)
 	}
+}
+
+// TestCompactRejectsTargetPastFrameField: a compaction whose image would
+// end past the PTE frame field is an error that moves nothing — not a
+// panic after the first chunk was already remapped — while the highest
+// target whose image still fits compacts normally.
+func TestCompactRejectsTargetPastFrameField(t *testing.T) {
+	chunks := []Chunk{
+		{VirtPage: 0x10000, PhysPage: 1 << 22, Pages: 400},
+		{VirtPage: 0x10000 + 400, PhysPage: 1 << 23, Pages: 400},
+	}
+	mapped := func(t *testing.T) *System {
+		t.Helper()
+		s, err := NewSystem(SchemeAnchor)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Map(chunks); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	translatesTo := func(t *testing.T, s *System, vp, want uint64) {
+		t.Helper()
+		if got, ok := s.TranslatePage(vp); !ok || got != want {
+			t.Fatalf("page %#x -> %#x, %v; want %#x", vp, got, ok, want)
+		}
+	}
+
+	// The image is 800 pages; the target aligns down to 2 MiB, so every
+	// target from 1<<40-512 up leaves it ending past frame 1<<40-1.
+	for _, target := range []uint64{1<<40 - 512, 1<<40 - 1, 1 << 40} {
+		s := mapped(t)
+		before := append(mem.ChunkList(nil), s.proc.Chunks()...)
+		if n, err := s.Compact(target); err == nil {
+			t.Fatalf("Compact(%#x) = %d chunks, want an error", target, n)
+		}
+		if got := s.proc.Chunks(); !reflect.DeepEqual(got, before) {
+			t.Errorf("Compact(%#x) changed the chunk list: %v, want %v", target, got, before)
+		}
+		for _, c := range chunks {
+			for off := uint64(0); off < c.Pages; off++ {
+				translatesTo(t, s, c.VirtPage+off, c.PhysPage+off)
+			}
+		}
+	}
+
+	s := mapped(t)
+	if n, err := s.Compact(1<<40 - 513); err != nil || n != 1 {
+		t.Fatalf("Compact(1<<40-513) = %d, %v; want 1 chunk", n, err)
+	}
+	translatesTo(t, s, 0x10000, 1<<40-1024)
+	translatesTo(t, s, 0x10000+799, 1<<40-225)
 }
 
 // TestSystemRejectsOutOfRangeChunks: chunks the page table cannot hold are

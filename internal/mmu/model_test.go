@@ -67,7 +67,9 @@ func TestModelBasedFuzz(t *testing.T) {
 				case op < 99: // promotion pass
 					proc.PromoteHugePages()
 				default: // compaction
-					proc.Compact(mem.PFN(1)<<38+mem.PFN(step)<<20, osmem.DefaultSweepCost)
+					if _, err := proc.Compact(mem.PFN(1)<<38+mem.PFN(step)<<20, osmem.DefaultSweepCost); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
 			if st := m.Stats(); st.Accesses == 0 {

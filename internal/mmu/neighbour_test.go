@@ -226,7 +226,9 @@ func TestNeighbourDiscoveryMatchesWalk(t *testing.T) {
 					}
 					o.drive("protect", accesses)
 
-					proc.Compact(1<<32, osmem.SweepCostModel{})
+					if _, err := proc.Compact(1<<32, osmem.SweepCostModel{}); err != nil {
+						t.Fatal(err)
+					}
 					o.drive("compact", accesses)
 
 					if o.checked < 50 {

@@ -1,6 +1,7 @@
 package osmem
 
 import (
+	"fmt"
 	"sort"
 
 	"hybridtlb/internal/mem"
@@ -31,18 +32,23 @@ type CompactResult struct {
 // defragmented image is placed (the compaction target zone); the caller
 // guarantees the zone is free. Every moved page costs a TLB entry
 // shootdown, anchors are rewritten, and the anchor distance is
-// re-selected against the new histogram.
-func (p *Process) Compact(targetPFN mem.PFN, costModel SweepCostModel) CompactResult {
+// re-selected against the new histogram. A target whose image would end
+// past the last frame the PTE frame field holds is an error, reported
+// before any page moves.
+func (p *Process) Compact(targetPFN mem.PFN, costModel SweepCostModel) (CompactResult, error) {
 	res := CompactResult{ChunksBefore: len(p.chunks)}
 	if len(p.chunks) == 0 {
-		res.ChunksAfter = 0
-		return res
+		return res, nil
 	}
 
 	// Build the compacted chunk list: the same virtual layout, frames
 	// packed back to back from targetPFN, preserving 2 MiB congruence by
 	// aligning the target so the first chunk stays congruent.
 	target := targetPFN.AlignDown(mem.PagesPer2M) + mem.PFN(uint64(p.chunks[0].StartVPN)%mem.PagesPer2M)
+	if last := p.FootprintPages() - 1; target > pagetable.MaxPFN || last > uint64(pagetable.MaxPFN-target) {
+		return res, fmt.Errorf("osmem: compacting %d pages to frame %#x would pass frame %#x, the last the PTE frame field holds",
+			last+1, uint64(target), uint64(pagetable.MaxPFN))
+	}
 	var moved uint64
 	var next mem.ChunkList
 	for _, c := range p.chunks {
@@ -90,7 +96,7 @@ func (p *Process) Compact(targetPFN mem.PFN, costModel SweepCostModel) CompactRe
 		p.flushTLBs()
 		res.Reselect = p.Reselect(costModel)
 	}
-	return res
+	return res, nil
 }
 
 // PromoteResult reports one promotion pass.

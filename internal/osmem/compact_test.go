@@ -29,7 +29,10 @@ func TestCompactMergesChunks(t *testing.T) {
 	if p.AnchorDistance() > 16 {
 		t.Fatalf("fragmented mapping selected distance %d", p.AnchorDistance())
 	}
-	res := p.Compact(1<<24, DefaultSweepCost)
+	res, err := p.Compact(1<<24, DefaultSweepCost)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.ChunksBefore != 64 || res.ChunksAfter != 1 {
 		t.Fatalf("compact: %d -> %d chunks", res.ChunksBefore, res.ChunksAfter)
 	}
@@ -57,7 +60,9 @@ func TestCompactPreservesTranslationUnderRandomMappings(t *testing.T) {
 		if err := p.InstallChunks(randomChunks(r, 15, 1024), 0); err != nil {
 			t.Fatal(err)
 		}
-		p.Compact(1<<25, DefaultSweepCost)
+		if _, err := p.Compact(1<<25, DefaultSweepCost); err != nil {
+			t.Fatal(err)
+		}
 		checkTranslations(t, p)
 		if err := p.Chunks().Validate(); err != nil {
 			t.Fatal(err)
@@ -67,7 +72,10 @@ func TestCompactPreservesTranslationUnderRandomMappings(t *testing.T) {
 
 func TestCompactEmptyProcess(t *testing.T) {
 	p := NewProcess(Policy{Anchors: true})
-	res := p.Compact(1<<24, DefaultSweepCost)
+	res, err := p.Compact(1<<24, DefaultSweepCost)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.ChunksBefore != 0 || res.ChunksAfter != 0 || res.PagesMoved != 0 {
 		t.Errorf("empty compact = %+v", res)
 	}
@@ -142,7 +150,9 @@ func TestCompactionImprovesAnchorEfficiency(t *testing.T) {
 		t.Fatal(err)
 	}
 	histBefore := p.Histogram()
-	p.Compact(1<<25, DefaultSweepCost)
+	if _, err := p.Compact(1<<25, DefaultSweepCost); err != nil {
+		t.Fatal(err)
+	}
 	histAfter := p.Histogram()
 	if histAfter.TotalChunks() >= histBefore.TotalChunks() {
 		t.Errorf("chunks: %d -> %d", histBefore.TotalChunks(), histAfter.TotalChunks())

@@ -95,9 +95,10 @@ type SimulateRequest struct {
 	FixedAnchorDistance uint64  `json:"fixed_anchor_distance,omitempty"`
 	CostModel           string  `json:"cost_model,omitempty"`
 	MultiRegionAnchors  bool    `json:"multi_region_anchors,omitempty"`
-	// Shards > 1 runs the simulation on the shard-parallel engine.
-	// Results are byte-identical to a serial run, so sharding never
-	// affects what a sweep cell reports — only how it is computed.
+	// Shards is deprecated and ignored: it once selected a shard-parallel
+	// drive that has since been removed. It is still decoded so that old
+	// clients' requests stay valid, and a negative value is still
+	// rejected.
 	Shards int `json:"shards,omitempty"`
 	// StaticIdeal runs the exhaustive per-distance search instead of one
 	// simulation (simulate endpoint only; ignored in sweeps).
@@ -153,7 +154,6 @@ func (req SimulateRequest) toConfig() hybridtlb.SimulationConfig {
 		FixedAnchorDistance: req.FixedAnchorDistance,
 		CostModel:           req.CostModel,
 		MultiRegionAnchors:  req.MultiRegionAnchors,
-		Shards:              req.Shards,
 	}
 }
 
@@ -175,8 +175,7 @@ type SweepRequest struct {
 	FootprintPages     uint64 `json:"footprint_pages,omitempty"`
 	CostModel          string `json:"cost_model,omitempty"`
 	MultiRegionAnchors bool   `json:"multi_region_anchors,omitempty"`
-	// Shards applies the shard-parallel engine to every cell; results
-	// are byte-identical to serial, so it never splits cache cells.
+	// Shards is deprecated and ignored, as on SimulateRequest.
 	Shards int `json:"shards,omitempty"`
 
 	// Priority picks the lane within the submitting tenant's fair-share
@@ -220,6 +219,9 @@ func (req SweepRequest) expand(lim Limits) ([]hybridtlb.SimulationConfig, []Simu
 		return nil, nil, &apiError{Status: http.StatusBadRequest, Code: codeInvalidRequest,
 			Message: fmt.Sprintf("sweep expands to %d jobs, over the server limit %d", total, lim.MaxSweepJobs)}
 	}
+	if req.Shards < 0 {
+		return nil, nil, invalidField("shards", "shards %d is negative", req.Shards)
+	}
 
 	cfgs := make([]hybridtlb.SimulationConfig, 0, total)
 	echoes := make([]SimulateRequest, 0, total)
@@ -240,7 +242,6 @@ func (req SweepRequest) expand(lim Limits) ([]hybridtlb.SimulationConfig, []Simu
 								FixedAnchorDistance: dist,
 								CostModel:           req.CostModel,
 								MultiRegionAnchors:  req.MultiRegionAnchors,
-								Shards:              req.Shards,
 							}
 							if err := cell.validate(lim); err != nil {
 								return nil, nil, err

@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -143,6 +144,7 @@ func TestSimulateValidation(t *testing.T) {
 		{"pressure out of range", `{"scheme":"anchor","workload":"gups","scenario":"demand","pressure":1.5}`, "pressure"},
 		{"accesses over cap", `{"scheme":"anchor","workload":"gups","scenario":"demand","accesses":999999999}`, "accesses"},
 		{"unknown cost model", `{"scheme":"anchor","workload":"gups","scenario":"demand","cost_model":"psychic"}`, "cost_model"},
+		{"negative shards", `{"scheme":"anchor","workload":"gups","scenario":"demand","shards":-1}`, "shards"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -207,6 +209,19 @@ func TestSweepValidation(t *testing.T) {
 		env := decodeBody[errEnvelope](t, resp)
 		if env.Error.Field != "scheme" {
 			t.Errorf("field = %q, want scheme", env.Error.Field)
+		}
+	})
+	// "shards" is deprecated and ignored, but still decoded: old clients'
+	// sweeps are accepted, and a negative value is still rejected.
+	t.Run("deprecated shards", func(t *testing.T) {
+		submitSweep(t, ts, `{"schemes":["anchor"],"workloads":["gups"],"scenarios":["demand"],"shards":4}`)
+		resp := postJSON(t, ts.URL+"/v1/sweeps", `{"schemes":["anchor"],"workloads":["gups"],"scenarios":["demand"],"shards":-1}`)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("status = %d, want 400", resp.StatusCode)
+		}
+		env := decodeBody[errEnvelope](t, resp)
+		if env.Error.Field != "shards" {
+			t.Errorf("field = %q, want shards", env.Error.Field)
 		}
 	})
 }
@@ -555,14 +570,17 @@ func TestNotFoundAndProbes(t *testing.T) {
 // real simulator and cross-checks the library.
 func TestSimulateEndToEnd(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
-	resp := postJSON(t, ts.URL+"/v1/simulate",
-		`{"scheme":"anchor","workload":"gups","scenario":"medium","accesses":2000,"seed":42}`)
-	if resp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		t.Fatalf("status = %d, want 200 (%s)", resp.StatusCode, b)
+	simulate := func(body string) ResultJSON {
+		t.Helper()
+		resp := postJSON(t, ts.URL+"/v1/simulate", body)
+		if resp.StatusCode != http.StatusOK {
+			b, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			t.Fatalf("status = %d, want 200 (%s)", resp.StatusCode, b)
+		}
+		return decodeBody[ResultJSON](t, resp)
 	}
-	got := decodeBody[ResultJSON](t, resp)
+	got := simulate(`{"scheme":"anchor","workload":"gups","scenario":"medium","accesses":2000,"seed":42}`)
 
 	want, err := hybridtlb.Simulate(hybridtlb.SimulationConfig{
 		Scheme: "anchor", Workload: "gups", Scenario: "medium", Accesses: 2000, Seed: 42,
@@ -576,6 +594,12 @@ func TestSimulateEndToEnd(t *testing.T) {
 	}
 	if got.Scheme != "anchor" || got.AnchorDistance == 0 {
 		t.Errorf("unexpected result identity: %+v", got)
+	}
+
+	// The deprecated "shards" field is accepted and changes nothing.
+	sharded := simulate(`{"scheme":"anchor","workload":"gups","scenario":"medium","accesses":2000,"seed":42,"shards":4}`)
+	if !reflect.DeepEqual(sharded, got) {
+		t.Errorf("\"shards\": 4 changed the result:\n got %+v\nwant %+v", sharded, got)
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 // default; Accesses and WarmupAccesses bound and split the replay
 // (Accesses 0 replays everything after warmup).
 func RunTrace(cfg Config, src trace.Source) (Result, error) {
-	return runTrace(cfg, src, driveFor(cfg))
+	return runTrace(cfg, src, drive)
 }
 
 func runTrace(cfg Config, src trace.Source, driveFn driveFunc) (Result, error) {
@@ -54,7 +54,7 @@ func runTrace(cfg Config, src trace.Source, driveFn driveFunc) (Result, error) {
 	res.DistanceChanges = proc.DistanceChanges()
 	if am, ok := m.(interface {
 		Actions() map[core.L2Action]uint64
-	}); ok && res.AnchorActions == nil {
+	}); ok {
 		res.AnchorActions = am.Actions()
 	}
 	return res, nil

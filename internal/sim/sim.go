@@ -87,14 +87,6 @@ type Config struct {
 	// snapshot of the run. Purely observational: it never changes
 	// results, and the sweep engine excludes it from cache keys.
 	Probe Probe
-
-	// Shards splits the drive into that many trace segments replayed by
-	// parallel simulators (see shard.go). Results are byte-identical to
-	// the serial drive for every scheme — the equivalence suite holds
-	// them together — so the sweep engine excludes Shards from cache
-	// keys, like Probe. Values <= 1 (and configs the shard engine cannot
-	// serve, e.g. DetailedWalk) run the regular batched drive.
-	Shards int
 }
 
 // WithDefaults returns the config with every zero field replaced by its
@@ -239,18 +231,7 @@ func Run(cfg Config) (Result, error) { return RunFrom(cfg, MappingSpec.Generate)
 
 // RunFrom is Run with the mapping drawn from maps.
 func RunFrom(cfg Config, maps MappingSource) (Result, error) {
-	return run(cfg, maps, driveFor(cfg))
-}
-
-// driveFor selects the drive implementation for a config: the
-// shard-parallel engine when sharding was requested, the batched drive
-// otherwise. driveSharded itself falls back to drive for configs it
-// cannot serve, so selection here only needs the shard count.
-func driveFor(cfg Config) driveFunc {
-	if cfg.Shards > 1 {
-		return driveSharded
-	}
-	return drive
+	return run(cfg, maps, drive)
 }
 
 func run(cfg Config, maps MappingSource, driveFn driveFunc) (Result, error) {
@@ -293,10 +274,7 @@ func run(cfg Config, maps MappingSource, driveFn driveFunc) (Result, error) {
 	res.DistanceChanges = proc.DistanceChanges()
 	if am, ok := m.(interface {
 		Actions() map[core.L2Action]uint64
-	}); ok && res.AnchorActions == nil {
-		// The shard engine fills AnchorActions itself (the original MMU
-		// only replayed the first segment, so its live counters are
-		// partial); only a full serial drive reads them off the MMU here.
+	}); ok {
 		res.AnchorActions = am.Actions()
 	}
 	return res, nil

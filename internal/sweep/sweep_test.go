@@ -93,14 +93,6 @@ func TestKeyDistinguishesConfigs(t *testing.T) {
 			t.Errorf("%s change did not change the key", name)
 		}
 	}
-	// Shards, like Probe, never changes results (the equivalence suite
-	// proves shard-parallel ≡ serial), so it must NOT change the key: a
-	// sharded run and a serial run of the same cell share a cache cell.
-	sharded := base
-	sharded.Config.Shards = 8
-	if sharded.Key() != base.Key() {
-		t.Error("Shards changed the cache key; sharded and serial runs of one cell must share it")
-	}
 }
 
 // TestEngineProbe pins the Options.Probe factory contract: called once

@@ -100,8 +100,7 @@ func (t *BinWriter) Close() error {
 }
 
 // Bin replays records from a parsed binary trace; it implements
-// BatchSource and hands out whole record slices by offset, so the shard
-// engine can partition the trace without copying.
+// BatchSource, copying batches straight out of the record view.
 type Bin struct {
 	records []Record
 	pos     int
@@ -194,14 +193,6 @@ func (b *Bin) Reset() { b.pos = 0 }
 // Len returns the total record count.
 func (b *Bin) Len() int { return len(b.records) }
 
-// Drain returns the remaining records as one slice (a view, not a copy)
-// and advances past them.
-func (b *Bin) Drain() []Record {
-	rest := b.records[b.pos:]
-	b.pos = len(b.records)
-	return rest
-}
-
 // Close releases the mmap backing the record view, if any. The records
 // must not be used afterwards.
 func (b *Bin) Close() error {
@@ -239,21 +230,6 @@ func OpenBin(path string) (*Bin, error) {
 	}
 	b.unmap = unmap
 	return b, nil
-}
-
-// Drainer is implemented by sources that can hand over their remaining
-// records as one slice without a copy loop.
-type Drainer interface {
-	Drain() []Record
-}
-
-// Drain returns all remaining records of a source, using the source's own
-// slice view when it has one and collecting through Next otherwise.
-func DrainSource(src Source) []Record {
-	if d, ok := src.(Drainer); ok {
-		return d.Drain()
-	}
-	return Collect(src, 0)
 }
 
 // OpenPath opens a trace file of either format, auto-detected by its

@@ -176,6 +176,8 @@ func TestBinNonCanonicalBoolDecodes(t *testing.T) {
 	}
 }
 
+// TestBinDrainAndReset reads a Bin to exhaustion through ReadBatch, then
+// rewinds it: Reset must replay every record from the start.
 func TestBinDrainAndReset(t *testing.T) {
 	recs := sampleRecords(40)
 	b, err := NewBin(writeBinBytes(t, recs))
@@ -185,58 +187,19 @@ func TestBinDrainAndReset(t *testing.T) {
 	if _, ok := b.Next(); !ok {
 		t.Fatal("Next failed")
 	}
-	rest := b.Drain()
-	if !reflect.DeepEqual(rest, recs[1:]) {
-		t.Fatalf("Drain mismatch")
+	buf := make([]Record, 2*len(recs))
+	if n := b.ReadBatch(buf); !reflect.DeepEqual(buf[:n], recs[1:]) {
+		t.Fatalf("ReadBatch after Next returned %d records, want %d", n, len(recs)-1)
 	}
 	if _, ok := b.Next(); ok {
-		t.Fatal("Next after Drain should report exhaustion")
+		t.Fatal("Next after draining should report exhaustion")
+	}
+	if n := b.ReadBatch(buf); n != 0 {
+		t.Fatalf("ReadBatch after draining = %d records, want 0", n)
 	}
 	b.Reset()
-	if got := len(DrainSource(b)); got != len(recs) {
-		t.Fatalf("post-Reset DrainSource = %d records, want %d", got, len(recs))
-	}
-}
-
-func TestDrainSourceVariants(t *testing.T) {
-	recs := sampleRecords(25)
-
-	// SliceSource drains as a view.
-	ss := NewSliceSource(recs)
-	ss.Next()
-	if got := DrainSource(ss); !reflect.DeepEqual(got, recs[1:]) {
-		t.Fatalf("SliceSource drain mismatch")
-	}
-
-	// Limit clips the drained view.
-	lim := Limit(NewSliceSource(recs), 10)
-	if got := DrainSource(lim); !reflect.DeepEqual(got, recs[:10]) {
-		t.Fatalf("limit drain mismatch")
-	}
-	if n := DrainSource(lim); len(n) != 0 {
-		t.Fatalf("second drain returned %d records", len(n))
-	}
-
-	// Streaming v1 sources fall back to Collect.
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range recs {
-		if err := w.Write(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	rd, err := NewReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := DrainSource(Limit(rd, 7)); !reflect.DeepEqual(got, recs[:7]) {
-		t.Fatalf("streaming limited drain mismatch")
+	if n := b.ReadBatch(buf); !reflect.DeepEqual(buf[:n], recs) {
+		t.Fatalf("post-Reset ReadBatch = %d records, want %d", n, len(recs))
 	}
 }
 

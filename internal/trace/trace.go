@@ -100,25 +100,16 @@ func (s *SliceSource) ReadBatch(dst []Record) int {
 // Reset rewinds the source to the beginning.
 func (s *SliceSource) Reset() { s.pos = 0 }
 
-// Drain returns the remaining records as one slice (a view, not a copy)
-// and advances past them.
-func (s *SliceSource) Drain() []Record {
-	rest := s.records[s.pos:]
-	s.pos = len(s.records)
-	return rest
-}
-
 // Limit wraps a source, truncating it after n records. The result is a
 // BatchSource (batching through the wrapped source's native ReadBatch
 // when it has one).
 func Limit(src Source, n uint64) BatchSource {
-	return &limitSource{src: src, batch: Batched(src), left: n}
+	return &limitSource{src: Batched(src), left: n}
 }
 
 type limitSource struct {
-	src   Source
-	batch BatchSource
-	left  uint64
+	src  BatchSource
+	left uint64
 }
 
 func (l *limitSource) Next() (Record, bool) {
@@ -134,26 +125,9 @@ func (l *limitSource) ReadBatch(dst []Record) int {
 	if l.left < uint64(len(dst)) {
 		dst = dst[:l.left]
 	}
-	n := l.batch.ReadBatch(dst)
+	n := l.src.ReadBatch(dst)
 	l.left -= uint64(n)
 	return n
-}
-
-// Drain returns the remaining (limit-clipped) records. When the wrapped
-// source is itself drainable this is a slice view; the wrapped source is
-// consumed past the limit either way.
-func (l *limitSource) Drain() []Record {
-	var rest []Record
-	if d, ok := l.src.(Drainer); ok {
-		rest = d.Drain()
-	} else {
-		rest = Collect(l.batch, l.left)
-	}
-	if uint64(len(rest)) > l.left {
-		rest = rest[:l.left]
-	}
-	l.left = 0
-	return rest
 }
 
 // Collect drains up to n records from a source into a slice (n == 0 drains

@@ -78,11 +78,6 @@ type SimulationConfig struct {
 	// never changes the result — and excluded from sweep result-cache
 	// keys, so a config served from the cache fires no samples.
 	Probe func(EpochSample) `json:"-"`
-	// Shards > 1 splits the run across that many parallel shard
-	// simulators with byte-identical results (the equivalence suite
-	// holds shard-parallel against serial for every scheme). Like Probe
-	// it never changes results, so it is excluded from sweep cache keys.
-	Shards int
 }
 
 // EpochSample is one epoch-boundary observation delivered to a
@@ -182,7 +177,6 @@ func (cfg SimulationConfig) toSimConfig() (sim.Config, mmu.Config, error) {
 		CostModel:          costModel,
 		MultiRegionAnchors: cfg.MultiRegionAnchors,
 		Probe:              probe,
-		Shards:             cfg.Shards,
 	}, hw, nil
 }
 
@@ -314,10 +308,10 @@ func toSimulationResult(res sim.Result, hw mmu.Config) SimulationResult {
 	cpi := res.CPI(hw)
 	reg, coal, miss := res.L2Breakdown()
 	return SimulationResult{
-		Scheme:   res.Scheme.String(),
-		Workload: res.Workload,
-		Scenario: res.Scenario.String(),
-		Stats:    toPublicStats(res.Stats),
+		Scheme:                 res.Scheme.String(),
+		Workload:               res.Workload,
+		Scenario:               res.Scenario.String(),
+		Stats:                  toPublicStats(res.Stats),
 		Instructions:           res.Instructions,
 		TranslationCPI:         cpi.Total(),
 		CPIRegularHit:          cpi.L2Hit,
