@@ -79,9 +79,12 @@ func (s Segment) EndVPN() mem.VPN { return s.StartVPN + mem.VPN(s.Pages) }
 //     non-anchored regions become huge pages.
 //   - Everything else is 4 KiB pages.
 //
-// dist is ignored unless pol.Anchors is set.
-func DecomposeChunk(c mem.Chunk, pol Policy, dist uint64) []Segment {
-	var segs []Segment
+// dist is ignored unless pol.Anchors is set. A chunk has at most four
+// segments — a 4 KiB head, a 2 MiB run, a 4 KiB tail and an anchored
+// tail — written into segs; the result is their used prefix, so
+// decomposing allocates nothing.
+func DecomposeChunk(segs *[4]Segment, c mem.Chunk, pol Policy, dist uint64) []Segment {
+	n := 0
 	end := c.EndVPN()
 
 	nonAnchoredEnd := end
@@ -95,9 +98,10 @@ func DecomposeChunk(c mem.Chunk, pol Policy, dist uint64) []Segment {
 	}
 
 	// Head region [start, nonAnchoredEnd): THP promotion where possible.
-	emit4K := func(from, to mem.VPN) {
+	emit := func(kind SegKind, from, to mem.VPN) {
 		if from < to {
-			segs = append(segs, Segment{Seg4K, from, c.Translate(from), uint64(to - from)})
+			segs[n] = Segment{kind, from, c.Translate(from), uint64(to - from)}
+			n++
 		}
 	}
 	v := c.StartVPN
@@ -110,17 +114,15 @@ func DecomposeChunk(c mem.Chunk, pol Policy, dist uint64) []Segment {
 			hugeStart := v.AlignUp(mem.PagesPer2M)
 			hugeEnd := nonAnchoredEnd.AlignDown(mem.PagesPer2M)
 			if hugeStart < hugeEnd {
-				emit4K(v, hugeStart)
-				segs = append(segs, Segment{Seg2M, hugeStart, c.Translate(hugeStart), uint64(hugeEnd - hugeStart)})
+				emit(Seg4K, v, hugeStart)
+				emit(Seg2M, hugeStart, hugeEnd)
 				v = hugeEnd
 			}
 		}
 	}
-	emit4K(v, nonAnchoredEnd)
+	emit(Seg4K, v, nonAnchoredEnd)
 
 	// Anchored tail [nonAnchoredEnd, end).
-	if nonAnchoredEnd < end {
-		segs = append(segs, Segment{SegAnchored, nonAnchoredEnd, c.Translate(nonAnchoredEnd), uint64(end - nonAnchoredEnd)})
-	}
-	return segs
+	emit(SegAnchored, nonAnchoredEnd, end)
+	return segs[:n]
 }

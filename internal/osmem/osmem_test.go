@@ -11,7 +11,7 @@ import (
 
 func TestDecomposeChunkPlain4K(t *testing.T) {
 	c := mem.Chunk{StartVPN: 100, StartPFN: 5000, Pages: 1000}
-	segs := DecomposeChunk(c, Policy{}, 0)
+	segs := DecomposeChunk(new([4]Segment), c, Policy{}, 0)
 	if len(segs) != 1 || segs[0].Kind != Seg4K || segs[0].Pages != 1000 {
 		t.Fatalf("segs = %+v", segs)
 	}
@@ -21,7 +21,7 @@ func TestDecomposeChunkTHP(t *testing.T) {
 	// Congruent chunk (VPN-PFN offset is a multiple of 512) spanning
 	// several 2 MiB units with misaligned head and tail.
 	c := mem.Chunk{StartVPN: 500, StartPFN: 512*10 + 500, Pages: 512*3 + 100}
-	segs := DecomposeChunk(c, Policy{THP: true}, 0)
+	segs := DecomposeChunk(new([4]Segment), c, Policy{THP: true}, 0)
 	if len(segs) != 3 {
 		t.Fatalf("segs = %+v", segs)
 	}
@@ -37,7 +37,7 @@ func TestDecomposeChunkTHP(t *testing.T) {
 
 	// Incongruent chunk: no promotion possible.
 	c2 := mem.Chunk{StartVPN: 0, StartPFN: 7, Pages: 2048}
-	segs2 := DecomposeChunk(c2, Policy{THP: true}, 0)
+	segs2 := DecomposeChunk(new([4]Segment), c2, Policy{THP: true}, 0)
 	if len(segs2) != 1 || segs2[0].Kind != Seg4K {
 		t.Errorf("incongruent segs = %+v", segs2)
 	}
@@ -46,7 +46,7 @@ func TestDecomposeChunkTHP(t *testing.T) {
 func TestDecomposeChunkAnchored(t *testing.T) {
 	// Chunk starting misaligned to distance 16: head is 4K, tail anchored.
 	c := mem.Chunk{StartVPN: 10, StartPFN: 1000, Pages: 100}
-	segs := DecomposeChunk(c, Policy{Anchors: true}, 16)
+	segs := DecomposeChunk(new([4]Segment), c, Policy{Anchors: true}, 16)
 	if len(segs) != 2 {
 		t.Fatalf("segs = %+v", segs)
 	}
@@ -59,14 +59,14 @@ func TestDecomposeChunkAnchored(t *testing.T) {
 
 	// Aligned chunk: fully anchored.
 	c2 := mem.Chunk{StartVPN: 32, StartPFN: 64, Pages: 64}
-	segs2 := DecomposeChunk(c2, Policy{Anchors: true}, 16)
+	segs2 := DecomposeChunk(new([4]Segment), c2, Policy{Anchors: true}, 16)
 	if len(segs2) != 1 || segs2[0].Kind != SegAnchored {
 		t.Errorf("aligned segs = %+v", segs2)
 	}
 
 	// Chunk too small to contain an aligned anchor point: plain 4K.
 	c3 := mem.Chunk{StartVPN: 17, StartPFN: 100, Pages: 10}
-	segs3 := DecomposeChunk(c3, Policy{Anchors: true}, 64)
+	segs3 := DecomposeChunk(new([4]Segment), c3, Policy{Anchors: true}, 64)
 	if len(segs3) != 1 || segs3[0].Kind != Seg4K {
 		t.Errorf("small segs = %+v", segs3)
 	}
@@ -75,7 +75,7 @@ func TestDecomposeChunkAnchored(t *testing.T) {
 func TestDecomposeChunkAnchorsWithTHPHead(t *testing.T) {
 	// Large distance: the long misaligned head gets huge pages.
 	c := mem.Chunk{StartVPN: 512, StartPFN: 512 * 7, Pages: 8192 - 512}
-	segs := DecomposeChunk(c, Policy{THP: true, Anchors: true}, 8192)
+	segs := DecomposeChunk(new([4]Segment), c, Policy{THP: true, Anchors: true}, 8192)
 	// Head [512, 8192) is all 2 MiB-eligible; no anchored tail because
 	// the chunk ends exactly at the first aligned point.
 	if len(segs) != 1 || segs[0].Kind != Seg2M || segs[0].Pages != 8192-512 {
@@ -83,7 +83,7 @@ func TestDecomposeChunkAnchorsWithTHPHead(t *testing.T) {
 	}
 
 	c2 := mem.Chunk{StartVPN: 512, StartPFN: 512 * 7, Pages: 16384 - 512}
-	segs2 := DecomposeChunk(c2, Policy{THP: true, Anchors: true}, 8192)
+	segs2 := DecomposeChunk(new([4]Segment), c2, Policy{THP: true, Anchors: true}, 8192)
 	if len(segs2) != 2 || segs2[0].Kind != Seg2M || segs2[1].Kind != SegAnchored {
 		t.Fatalf("segs = %+v", segs2)
 	}
@@ -105,7 +105,7 @@ func TestDecomposeChunkConservation(t *testing.T) {
 		}
 		pol := pols[r.Intn(len(pols))]
 		dist := uint64(1) << (1 + r.Intn(16))
-		segs := DecomposeChunk(c, pol, dist)
+		segs := DecomposeChunk(new([4]Segment), c, pol, dist)
 		v := c.StartVPN
 		for _, s := range segs {
 			if s.StartVPN != v {
@@ -770,4 +770,38 @@ func TestInstallRejectsOutOfRangeChunks(t *testing.T) {
 		t.Errorf("append below the last page refused: %v", err)
 	}
 	checkTranslations(t, p)
+}
+
+// TestInstallAllocations pins the install path's allocations: a mapping
+// of thousands of small chunks allocates once per slab of leaf tables,
+// not once per chunk or per leaf table.
+func TestInstallAllocations(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	var cl mem.ChunkList
+	start := mem.VPN(0x10000)
+	vpn, pfn := start, mem.PFN(0x100000)
+	for i := 0; i < 20000; i++ {
+		pages := 1 + uint64(r.Intn(16))
+		cl = append(cl, mem.Chunk{StartVPN: vpn, StartPFN: pfn, Pages: pages})
+		vpn += mem.VPN(pages)
+		// A one-frame gap keeps neighbours from merging into one chunk.
+		pfn += mem.PFN(pages + 1)
+	}
+	leaves := float64(uint64(vpn-1)/mem.PagesPer2M - uint64(start)/mem.PagesPer2M + 1)
+	// The process, the table's root path, the sorted chunk list and the
+	// distance selection allocate a fixed number of times; each slab of
+	// 32 leaf tables adds one allocation.
+	const fixed = 30
+	for _, pol := range []Policy{{}, {THP: true}, {Anchors: true}, {THP: true, Anchors: true}} {
+		allocs := testing.AllocsPerRun(3, func() {
+			if err := NewProcess(pol).InstallChunks(cl, 0); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%+v: %d chunks over %.0f leaf tables: %.0f allocations", pol, len(cl), leaves, allocs)
+		if want := leaves/32 + 1 + fixed; allocs > want {
+			t.Errorf("%+v: installing %d chunks over %.0f leaf tables made %.0f allocations, want at most %.0f",
+				pol, len(cl), leaves, allocs, want)
+		}
+	}
 }

@@ -173,7 +173,8 @@ func validateChunks(cl mem.ChunkList) error {
 }
 
 func (p *Process) installChunkAt(c mem.Chunk, dist uint64) {
-	for _, s := range DecomposeChunk(c, p.policy, dist) {
+	var segs [4]Segment
+	for _, s := range DecomposeChunk(&segs, c, p.policy, dist) {
 		switch s.Kind {
 		case Seg2M:
 			for off := uint64(0); off < s.Pages; off += mem.PagesPer2M {

@@ -111,8 +111,10 @@ func TestMapRange4KMatchesPerPage(t *testing.T) {
 }
 
 // TestMapRange4KEdges covers anchor bits under a range that crosses a
-// leaf boundary, the empty range, and a range whose last frame overflows
-// the PTE frame field: it panics before writing anything.
+// leaf boundary, the empty range, a range whose last frame overflows
+// the PTE frame field (it panics before writing anything), and a range
+// over more than two slabs of leaf tables with an interior table
+// allocated between two of them.
 func TestMapRange4KEdges(t *testing.T) {
 	pt := New()
 	pt.Map4K(1000, 1, 0) // the leaf of pages 512-1023 exists
@@ -141,6 +143,32 @@ func TestMapRange4KEdges(t *testing.T) {
 	}()
 	if after := rangeOf(pt); !reflect.DeepEqual(after, before) {
 		t.Fatalf("overflowing range wrote entries: %d -> %d", len(before), len(after))
+	}
+
+	// Every leaf, whichever slab it was carved from, takes the frame of
+	// its allocation index in the table region. The range ends one PD
+	// (1 GiB) further on, so the PD allocated between two leaves
+	// takes an index too.
+	pt = New()
+	first := mem.VPN(mem.PagesPer1G) - (leafSlab+3)*entriesPerNode
+	leaves := 2*leafSlab + 5
+	pt.MapRange4K(first, 0x200000, uint64(leaves*entriesPerNode), FlagWrite)
+	for k := 0; k < leaves; k++ {
+		vpn := first + mem.VPN(k*entriesPerNode)
+		index := uint64(3 + k) // the root, the PDPT and the first PD come first
+		if vpn >= mem.VPN(mem.PagesPer1G) {
+			index++ // the second PD
+		}
+		want := tableRegionBase + mem.PhysAddr(index)<<mem.Shift4K + mem.PhysAddr(indexAt(vpn, LevelPT)*8)
+		if got := pt.WalkLines(vpn)[LevelPT]; got != want {
+			t.Fatalf("leaf %d: PTE line %#x, want %#x (allocation index %d)", k, uint64(got), uint64(want), index)
+		}
+		if w := pt.Walk(vpn + 7); !w.Present || w.PFN != mem.PFN(0x200000+k*entriesPerNode+7) {
+			t.Fatalf("leaf %d: walk = %+v", k, w)
+		}
+	}
+	if n := pt.Stats().Nodes; n != uint64(4+leaves) {
+		t.Errorf("Nodes = %d, want the root, a PDPT, two PDs and %d leaves", n, leaves)
 	}
 }
 

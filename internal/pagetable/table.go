@@ -32,7 +32,7 @@ type leaf [entriesPerNode]PTE
 
 // dir is one interior table page (PML4, PDPT or PD level). As on x86,
 // the entry above a child table holds the table's synthetic frame (see
-// childAt); child holds the Go pointer the simulator follows. An
+// link); child holds the Go pointer the simulator follows. An
 // entry is either a child table or a huge leaf, never both: Map1G and
 // Map2M refuse an entry with a child, and mapping a 4 KiB page under a
 // huge entry replaces it with a table.
@@ -64,11 +64,19 @@ type Stats struct {
 	Walks     uint64 // full translations performed via Walk
 }
 
+// leafSlab is how many leaf tables one allocation holds (128 KiB): a
+// large install allocates once per slab instead of once per leaf. A
+// table wastes at most the unused rest of its last slab, plus any leaf
+// Collapse2M drops, which stays allocated while its slab lives.
+const leafSlab = 32
+
 // Table is a four-level page table supporting 4 KiB and 2 MiB mappings and
 // the paper's anchor-entry contiguity encoding.
 type Table struct {
 	root  *pml4Table
 	stats Stats
+	// slab holds the leaf tables of the current slab not yet handed out.
+	slab []leaf
 }
 
 // New creates an empty page table.
@@ -90,17 +98,21 @@ func indexAt(vpn mem.VPN, l Level) int {
 // interior entry points to.
 func tableAddr(e PTE) mem.PhysAddr { return mem.PhysAddr(e.PFN()) << mem.Shift4K }
 
-// childAt returns d's child table at index i, allocating it when absent:
-// the new table takes the next frame of the table region, recorded in
-// d's entry.
+// childAt returns d's child table at index i, allocating it when absent.
 func childAt[C any](t *Table, d *dir[C], i int) *C {
 	if d.child[i] == nil {
-		d.child[i] = new(C)
-		frame := mem.PFN(tableRegionBase>>mem.Shift4K) + mem.PFN(t.stats.Nodes)
-		d.pte[i] = (FlagPresent | FlagWrite | FlagUser).WithPFN(frame)
-		t.stats.Nodes++
+		link(t, d, i, new(C))
 	}
 	return d.child[i]
+}
+
+// link installs c as d's child table at index i: c takes the next frame
+// of the table region, recorded in d's entry.
+func link[C any](t *Table, d *dir[C], i int, c *C) {
+	d.child[i] = c
+	frame := mem.PFN(tableRegionBase>>mem.Shift4K) + mem.PFN(t.stats.Nodes)
+	d.pte[i] = (FlagPresent | FlagWrite | FlagUser).WithPFN(frame)
+	t.stats.Nodes++
 }
 
 // ensurePD returns the PD table covering vpn, allocating the path to it.
@@ -159,9 +171,17 @@ func (t *Table) MapRange4K(vpn mem.VPN, pfn mem.PFN, pages uint64, flags PTE) {
 }
 
 // ensureLeaf returns the leaf table holding vpn's entry, allocating the
-// path to it.
+// path to it. A new leaf is carved from the current slab.
 func (t *Table) ensureLeaf(vpn mem.VPN) *leaf {
-	return childAt(t, t.ensurePD(vpn), indexAt(vpn, LevelPD))
+	pd, i := t.ensurePD(vpn), indexAt(vpn, LevelPD)
+	if pd.child[i] == nil {
+		if len(t.slab) == 0 {
+			t.slab = make([]leaf, leafSlab)
+		}
+		link(t, pd, i, &t.slab[0])
+		t.slab = t.slab[1:]
+	}
+	return pd.child[i]
 }
 
 // Map2M installs a 2 MiB mapping. vpn and pfn must be 512-page aligned.

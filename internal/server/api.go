@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 
@@ -213,11 +214,20 @@ func (req SweepRequest) expand(lim Limits) ([]hybridtlb.SimulationConfig, []Simu
 		distances = []uint64{0}
 	}
 
-	total := len(req.Workloads) * len(req.Scenarios) * len(req.Schemes) *
-		len(seeds) * len(pressures) * len(distances)
-	if lim.MaxSweepJobs > 0 && total > lim.MaxSweepJobs {
-		return nil, nil, &apiError{Status: http.StatusBadRequest, Code: codeInvalidRequest,
-			Message: fmt.Sprintf("sweep expands to %d jobs, over the server limit %d", total, lim.MaxSweepJobs)}
+	// Multiply axis by axis and stop as soon as the grid passes the
+	// limit: six long axes fit in a small body, but their product
+	// overflows int. Without a cap, the limit is the largest int.
+	limit := lim.MaxSweepJobs
+	if limit <= 0 {
+		limit = math.MaxInt
+	}
+	total := 1
+	for _, n := range []int{len(req.Workloads), len(req.Scenarios), len(req.Schemes), len(seeds), len(pressures), len(distances)} {
+		if total > limit/n {
+			return nil, nil, &apiError{Status: http.StatusBadRequest, Code: codeInvalidRequest,
+				Message: fmt.Sprintf("sweep expands to more than %d jobs, over the server limit", limit)}
+		}
+		total *= n
 	}
 	if req.Shards < 0 {
 		return nil, nil, invalidField("shards", "shards %d is negative", req.Shards)

@@ -60,6 +60,7 @@ func TestCrashRecoveryKill9(t *testing.T) {
 		if err := cmd.Start(); err != nil {
 			t.Fatalf("starting tlbserver: %v", err)
 		}
+		reap(t, cmd)
 		waitHealthy(t, base)
 		return cmd
 	}
@@ -67,12 +68,6 @@ func TestCrashRecoveryKill9(t *testing.T) {
 	const grid = `{"schemes":["base","anchor","thp","colt"],"workloads":["gups"],"scenarios":["demand","medium"],"accesses":2000}`
 
 	proc := startServer()
-	defer func() {
-		if proc != nil && proc.Process != nil {
-			proc.Process.Kill()
-			proc.Wait()
-		}
-	}()
 
 	resp, err := http.Post(base+"/v1/sweeps", "application/json", strings.NewReader(grid))
 	if err != nil {
@@ -94,7 +89,7 @@ func TestCrashRecoveryKill9(t *testing.T) {
 	}
 	proc.Wait()
 
-	proc = startServer()
+	startServer() // the restart; reap stops it when the test ends
 	final := waitDone(t, base+acc.StatusURL)
 	if final.State != "done" {
 		t.Fatalf("resumed job state = %s, want done", final.State)
@@ -157,6 +152,17 @@ func freePort(t *testing.T) int {
 	}
 	defer l.Close()
 	return l.Addr().(*net.TCPAddr).Port
+}
+
+// reap kills cmd and waits for it when the test ends, however it ends:
+// registered right after Start, it covers a start that never turns
+// healthy. A process the test already killed and waited for is left as
+// it is.
+func reap(t *testing.T, cmd *exec.Cmd) {
+	t.Cleanup(func() {
+		cmd.Process.Kill()
+		cmd.Wait()
+	})
 }
 
 func waitHealthy(t *testing.T, base string) {

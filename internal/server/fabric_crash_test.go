@@ -67,10 +67,7 @@ func TestFabricCrashRecoveryKill9(t *testing.T) {
 	if err := coord.Start(); err != nil {
 		t.Fatalf("starting coordinator: %v", err)
 	}
-	defer func() {
-		coord.Process.Kill()
-		coord.Wait()
-	}()
+	reap(t, coord)
 	waitHealthy(t, base)
 
 	// Three workers with a deterministic injected delay per cell, so the
@@ -90,16 +87,9 @@ func TestFabricCrashRecoveryKill9(t *testing.T) {
 		if err := w.Start(); err != nil {
 			t.Fatalf("starting worker %s: %v", name, err)
 		}
+		reap(t, w)
 		workers[name] = w
 	}
-	defer func() {
-		for _, w := range workers {
-			if w.Process != nil {
-				w.Process.Kill()
-				w.Wait()
-			}
-		}
-	}()
 	waitFabricMetric(t, base, `fabric_workers{state="live"}`, 3)
 
 	const grid = `{"schemes":["base","anchor","thp","colt"],"workloads":["gups"],"scenarios":["demand","medium"],"accesses":2000}`
@@ -123,7 +113,6 @@ func TestFabricCrashRecoveryKill9(t *testing.T) {
 		t.Fatalf("kill -9 %s: %v", victim, err)
 	}
 	workers[victim].Wait()
-	workers[victim].Process = nil
 	t.Logf("killed worker %s while it held a lease", victim)
 
 	final := waitDone(t, base+acc.StatusURL)

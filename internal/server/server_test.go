@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -201,6 +203,38 @@ func TestSweepValidation(t *testing.T) {
 			t.Errorf("message = %q, want grid-size complaint", env.Error.Message)
 		}
 	})
+	// Six axes of n entries each: 2048^6 = 2^66 wraps to 0 in int, and
+	// 1625^6 wraps negative. Multiplied in one expression, the first
+	// passed the cap and expanded until memory ran out, and the second
+	// panicked preallocating the grid.
+	for _, n := range overflowAxes {
+		if wrapped := n * n * n * n * n * n; wrapped > 0 {
+			t.Fatalf("%d^6 = %d in one int expression: it no longer wraps", n, wrapped)
+		}
+		t.Run(fmt.Sprintf("grid of %d^6 overflows int", n), func(t *testing.T) {
+			resp := postJSON(t, ts.URL+"/v1/sweeps", string(gridBody(t, n)))
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("status = %d, want 400", resp.StatusCode)
+			}
+			env := decodeBody[errEnvelope](t, resp)
+			if !strings.Contains(env.Error.Message, "more than 4 jobs, over the server limit") {
+				t.Errorf("message = %q, want one naming the limit", env.Error.Message)
+			}
+		})
+	}
+	t.Run("uncapped grid overflows int", func(t *testing.T) {
+		var req SweepRequest
+		if err := json.Unmarshal(gridBody(t, overflowAxes[0]), &req); err != nil {
+			t.Fatal(err)
+		}
+		cfgs, _, apiErr := req.expand(Limits{})
+		if apiErr == nil || apiErr.Status != http.StatusBadRequest || cfgs != nil {
+			t.Fatalf("expand = %d cells, error %v; want a 400 and no cells", len(cfgs), apiErr)
+		}
+		if want := fmt.Sprintf("more than %d jobs", math.MaxInt); !strings.Contains(apiErr.Message, want) {
+			t.Errorf("message = %q, want one containing %q", apiErr.Message, want)
+		}
+	})
 	t.Run("bad cell name", func(t *testing.T) {
 		resp := postJSON(t, ts.URL+"/v1/sweeps", `{"schemes":["warp"],"workloads":["gups"],"scenarios":["demand"]}`)
 		if resp.StatusCode != http.StatusBadRequest {
@@ -224,6 +258,33 @@ func TestSweepValidation(t *testing.T) {
 			t.Errorf("field = %q, want shards", env.Error.Field)
 		}
 	})
+}
+
+// overflowAxes are axis lengths whose six-axis grid overflows int.
+var overflowAxes = []int{2048, 1625}
+
+// gridBody is a sweep request whose six axes each hold n entries.
+func gridBody(t testing.TB, n int) []byte {
+	t.Helper()
+	req := SweepRequest{
+		Schemes:   make([]string, n),
+		Workloads: make([]string, n),
+		Scenarios: make([]string, n),
+		Seeds:     make([]int64, n),
+		Pressures: make([]float64, n),
+		Distances: make([]uint64, n),
+	}
+	for i := 0; i < n; i++ {
+		req.Schemes[i], req.Workloads[i], req.Scenarios[i] = "base", "gups", "demand"
+	}
+	b, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b) >= 1<<20 {
+		t.Fatalf("a grid of %d per axis is %d bytes, over the body limit", n, len(b))
+	}
+	return b
 }
 
 type acceptedJSON struct {

@@ -41,18 +41,18 @@ type ChurnStats struct {
 // workload never faults; only the physical side and the affected anchors
 // change.
 func RunWithChurn(cfg ChurnConfig) (Result, ChurnStats, error) {
-	return RunWithChurnFrom(cfg, MappingSpec.Generate)
+	return RunWithChurnFrom(cfg, Generated)
 }
 
-// RunWithChurnFrom is RunWithChurn with the initial mapping drawn from
-// maps.
-func RunWithChurnFrom(cfg ChurnConfig, maps MappingSource) (Result, ChurnStats, error) {
+// RunWithChurnFrom is RunWithChurn with the initial mapping and the trace
+// drawn from in.
+func RunWithChurnFrom(cfg ChurnConfig, in Inputs) (Result, ChurnStats, error) {
 	base := cfg.Config.withDefaults()
 	if cfg.ChurnIntervalInstructions == 0 || cfg.ChurnPages == 0 {
 		return Result{}, ChurnStats{}, fmt.Errorf("sim: churn interval and size must be positive")
 	}
 
-	cl, err := maps(MappingOf(base))
+	cl, err := in.Mapping(MappingOf(base))
 	if err != nil {
 		return Result{}, ChurnStats{}, fmt.Errorf("sim: generating mapping: %w", err)
 	}
@@ -66,7 +66,7 @@ func RunWithChurnFrom(cfg ChurnConfig, maps MappingSource) (Result, ChurnStats, 
 
 	startVPN := cl[0].StartVPN
 	endVPN := cl[len(cl)-1].EndVPN()
-	gen := base.Workload.NewGenerator(startVPN, base.FootprintPages, base.WarmupAccesses+base.Accesses, base.Seed)
+	src := in.Trace(TraceOf(base, startVPN))
 
 	res := Result{
 		Scheme:   base.Scheme,
@@ -87,7 +87,7 @@ func RunWithChurnFrom(cfg ChurnConfig, maps MappingSource) (Result, ChurnStats, 
 	dynamic := pol.Anchors && base.FixedDistance == 0
 
 	for {
-		rec, ok := gen.Next()
+		rec, ok := src.Next()
 		if !ok {
 			break
 		}

@@ -44,7 +44,7 @@ func equivCfg(t testing.TB, scheme mmu.Scheme, scenario mapping.Scenario, wl str
 func TestBatchedSerialEquivalence(t *testing.T) {
 	check := func(t *testing.T, cfg Config) {
 		t.Helper()
-		serial, err := run(cfg, MappingSpec.Generate, driveSerial)
+		serial, err := run(cfg, Generated, driveSerial)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,11 +124,11 @@ func TestShardSerialEquivalence(t *testing.T) {
 			for _, scenario := range mapping.All() {
 				t.Run(fmt.Sprintf("k%d/%s/%s", shards, scheme, scenario), func(t *testing.T) {
 					cfg := equivCfg(t, scheme, scenario, "mcf")
-					serial, err := run(cfg, MappingSpec.Generate, driveSerial)
+					serial, err := run(cfg, Generated, driveSerial)
 					if err != nil {
 						t.Fatal(err)
 					}
-					sharded, err := run(cfg, MappingSpec.Generate, driveShards)
+					sharded, err := run(cfg, Generated, driveShards)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -148,7 +148,7 @@ func TestBatchedSerialEquivalenceMultiRegion(t *testing.T) {
 		t.Run(scenario.String(), func(t *testing.T) {
 			cfg := equivCfg(t, mmu.Anchor, scenario, "mcf")
 			cfg.MultiRegionAnchors = true
-			serial, err := run(cfg, MappingSpec.Generate, driveSerial)
+			serial, err := run(cfg, Generated, driveSerial)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -260,7 +260,7 @@ func TestProbeEquivalence(t *testing.T) {
 			var serialSamples, batchedSamples []ProbeSample
 			cfg := base
 			cfg.Probe = func(s ProbeSample) { serialSamples = append(serialSamples, s) }
-			serial, err := run(cfg, MappingSpec.Generate, driveSerial)
+			serial, err := run(cfg, Generated, driveSerial)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -297,7 +297,7 @@ func TestWarmupOnBatchBoundary(t *testing.T) {
 			cfg := equivCfg(t, mmu.Anchor, mapping.Medium, "gups")
 			cfg.Accesses = total
 			cfg.WarmupAccesses = warm
-			serial, err := run(cfg, MappingSpec.Generate, driveSerial)
+			serial, err := run(cfg, Generated, driveSerial)
 			if err != nil {
 				t.Fatal(err)
 			}

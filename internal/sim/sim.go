@@ -140,10 +140,68 @@ func MappingOf(cfg Config) MappingSpec {
 // Generate draws the spec's chunk list.
 func (s MappingSpec) Generate() (mem.ChunkList, error) { return mapping.Generate(s.Scenario, s.Config) }
 
-// MappingSource supplies the chunk list of a spec. Runs only read the
-// list (the OS installs a copy), so a source may hand one list to many
-// concurrent runs.
-type MappingSource func(MappingSpec) (mem.ChunkList, error)
+// TraceSpec names the trace a run draws: its workload and the
+// generator's inputs.
+type TraceSpec struct {
+	Workload workload.Spec
+	// Base is the footprint's first page, the mapping's first VPN, so it
+	// is known only once the mapping is.
+	Base      mem.VPN
+	Footprint uint64
+	// Records is the trace length, warmup included.
+	Records uint64
+	Seed    int64
+}
+
+// TraceOf returns the spec of the trace cfg's run draws over a mapping
+// whose first page is base: the one place a run's trace inputs are
+// derived, for every drive here and for the sweep engine's trace memo.
+func TraceOf(cfg Config, base mem.VPN) TraceSpec {
+	cfg = cfg.withDefaults()
+	return TraceSpec{
+		Workload:  cfg.Workload,
+		Base:      base,
+		Footprint: cfg.FootprintPages,
+		Records:   cfg.WarmupAccesses + cfg.Accesses,
+		Seed:      cfg.Seed,
+	}
+}
+
+// Generate returns a generator streaming the spec's trace.
+func (s TraceSpec) Generate() *workload.Generator {
+	return s.Workload.NewGenerator(s.Base, s.Footprint, s.Records, s.Seed)
+}
+
+// TraceKey is a TraceSpec's comparable identity without its base VPN, so
+// a sweep can key traces before any mapping exists. Specs with equal
+// keys draw equal traces over equal bases.
+type TraceKey struct {
+	Workload           string // workload.Spec.Identity
+	Footprint, Records uint64
+	Seed               int64
+}
+
+// Key returns the spec's identity.
+func (s TraceSpec) Key() TraceKey {
+	return TraceKey{s.Workload.Identity(), s.Footprint, s.Records, s.Seed}
+}
+
+// Inputs supplies a run's mapping and trace. Runs only read the chunk
+// list (the OS installs a copy), so Mapping may hand one list to many
+// concurrent runs; Trace returns a source of its own on every call.
+type Inputs interface {
+	Mapping(MappingSpec) (mem.ChunkList, error)
+	Trace(TraceSpec) trace.Source
+}
+
+// Generated is the Inputs that generates every mapping and trace on
+// demand.
+var Generated Inputs = generated{}
+
+type generated struct{}
+
+func (generated) Mapping(s MappingSpec) (mem.ChunkList, error) { return s.Generate() }
+func (generated) Trace(s TraceSpec) trace.Source               { return s.Generate() }
 
 // Result reports one simulation.
 type Result struct {
@@ -227,17 +285,17 @@ func (r Result) L2Breakdown() (regular, coalesced, miss float64) {
 type driveFunc func(m mmu.MMU, proc *osmem.Process, src trace.Source, cfg Config, res *Result)
 
 // Run executes one simulation.
-func Run(cfg Config) (Result, error) { return RunFrom(cfg, MappingSpec.Generate) }
+func Run(cfg Config) (Result, error) { return RunFrom(cfg, Generated) }
 
-// RunFrom is Run with the mapping drawn from maps.
-func RunFrom(cfg Config, maps MappingSource) (Result, error) {
-	return run(cfg, maps, drive)
+// RunFrom is Run with the mapping and the trace drawn from in.
+func RunFrom(cfg Config, in Inputs) (Result, error) {
+	return run(cfg, in, drive)
 }
 
-func run(cfg Config, maps MappingSource, driveFn driveFunc) (Result, error) {
+func run(cfg Config, in Inputs, driveFn driveFunc) (Result, error) {
 	cfg = cfg.withDefaults()
 
-	cl, err := maps(MappingOf(cfg))
+	cl, err := in.Mapping(MappingOf(cfg))
 	if err != nil {
 		return Result{}, fmt.Errorf("sim: generating mapping: %w", err)
 	}
@@ -257,8 +315,7 @@ func run(cfg Config, maps MappingSource, driveFn driveFunc) (Result, error) {
 	}
 	m := mmu.New(cfg.Scheme, cfg.HW, proc)
 
-	base := cl[0].StartVPN
-	gen := cfg.Workload.NewGenerator(base, cfg.FootprintPages, cfg.WarmupAccesses+cfg.Accesses, cfg.Seed)
+	src := in.Trace(TraceOf(cfg, cl[0].StartVPN))
 
 	res := Result{
 		Scheme:   cfg.Scheme,
@@ -267,7 +324,7 @@ func run(cfg Config, maps MappingSource, driveFn driveFunc) (Result, error) {
 		Chunks:   len(cl),
 	}
 
-	driveFn(m, proc, gen, cfg, &res)
+	driveFn(m, proc, src, cfg, &res)
 
 	res.HugePages = proc.HugePages()
 	res.AnchorDistance = proc.AnchorDistance()

@@ -97,10 +97,15 @@ type Engine struct {
 	// runJob is the execution function; tests substitute it to inject
 	// blocking and completion-order inversions (probabilistic faults
 	// belong in Options.Faults).
-	runJob func(Job, sim.MappingSource) (sim.Result, sim.ChurnStats, error)
-	// generate draws a mapping for a batch's memo; tests substitute it
-	// to count generations and inject failures.
-	generate sim.MappingSource
+	runJob func(Job, sim.Inputs) (sim.Result, sim.ChurnStats, error)
+	// inputs generates the mappings and traces a batch's memo shares;
+	// tests substitute it to count generations and inject failures.
+	inputs sim.Inputs
+	// traceLimit caps the trace records the memos of all running
+	// batches hold (traceMemoBytes worth; tests lower it), and traceLive
+	// counts the records they have reserved.
+	traceLimit int64
+	traceLive  atomic.Int64
 
 	mu    sync.Mutex
 	cache map[string]cached
@@ -127,7 +132,8 @@ func New(opts Options) *Engine {
 		sleep:        sleep,
 		probe:        opts.Probe,
 		runJob:       execute,
-		generate:     sim.MappingSpec.Generate,
+		inputs:       sim.Generated,
+		traceLimit:   traceMemoBytes / recordBytes,
 		cache:        make(map[string]cached),
 	}
 }
@@ -139,16 +145,16 @@ func (e *Engine) Stats() CacheStats {
 	return e.stats
 }
 
-// execute runs one job, drawing its mapping from maps.
-func execute(j Job, maps sim.MappingSource) (res sim.Result, churn sim.ChurnStats, err error) {
+// execute runs one job, drawing its mapping and trace from in.
+func execute(j Job, in sim.Inputs) (res sim.Result, churn sim.ChurnStats, err error) {
 	if j.ChurnIntervalInstructions != 0 || j.ChurnPages != 0 {
 		return sim.RunWithChurnFrom(sim.ChurnConfig{
 			Config:                    j.Config,
 			ChurnIntervalInstructions: j.ChurnIntervalInstructions,
 			ChurnPages:                j.ChurnPages,
-		}, maps)
+		}, in)
 	}
-	res, err = sim.RunFrom(j.Config, maps)
+	res, err = sim.RunFrom(j.Config, in)
 	return res, sim.ChurnStats{}, err
 }
 
@@ -156,7 +162,7 @@ func execute(j Job, maps sim.MappingSource) (res sim.Result, churn sim.ChurnStat
 // in the simulator (or injected by the fault hook) into a per-job error
 // naming the job, so one failing cell cannot kill the sweep. Panics are
 // marked Permanent: re-running a crashing cell cannot help.
-func (e *Engine) safeRun(ctx context.Context, j Job, key string, attempt int, maps sim.MappingSource) (res sim.Result, churn sim.ChurnStats, err error) {
+func (e *Engine) safeRun(ctx context.Context, j Job, key string, attempt int, in sim.Inputs) (res sim.Result, churn sim.ChurnStats, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = Permanent(fmt.Errorf("job %s: panic: %v", j, p))
@@ -173,7 +179,7 @@ func (e *Engine) safeRun(ctx context.Context, j Job, key string, attempt int, ma
 			return res, churn, fmt.Errorf("job %s: %w", j, f.err)
 		}
 	}
-	res, churn, err = e.runJob(j, maps)
+	res, churn, err = e.runJob(j, in)
 	if err != nil {
 		err = fmt.Errorf("job %s: %w", j, err)
 	}
@@ -181,10 +187,10 @@ func (e *Engine) safeRun(ctx context.Context, j Job, key string, attempt int, ma
 }
 
 // runTask resolves one unique cell: durable-store probe first, then
-// simulation with the retry policy, drawing the mapping from maps.
-// fromStore reports that the result was loaded rather than computed (so
-// it must not be written back).
-func (e *Engine) runTask(ctx context.Context, t *task, maps sim.MappingSource) (res sim.Result, churn sim.ChurnStats, fromStore bool, err error) {
+// simulation with the retry policy, drawing the mapping and the trace
+// from in. fromStore reports that the result was loaded rather than
+// computed (so it must not be written back).
+func (e *Engine) runTask(ctx context.Context, t *task, in sim.Inputs) (res sim.Result, churn sim.ChurnStats, fromStore bool, err error) {
 	if e.store != nil && !e.disableCache {
 		if data, ok := e.store.Load(t.key); ok {
 			if c, ok := decodeEntry(data); ok {
@@ -200,7 +206,7 @@ func (e *Engine) runTask(ctx context.Context, t *task, maps sim.MappingSource) (
 		job.Config.Probe = e.probe(job)
 	}
 	for attempt := 1; ; attempt++ {
-		res, churn, err = e.safeRun(ctx, job, t.key, attempt, maps)
+		res, churn, err = e.safeRun(ctx, job, t.key, attempt, in)
 		if err == nil || attempt >= e.retry.MaxAttempts || IsPermanent(err) {
 			return res, churn, false, err
 		}
@@ -305,7 +311,8 @@ func (e *Engine) RunWithProgress(ctx context.Context, jobs []Job, progress Progr
 	if workers > len(tasks) {
 		workers = len(tasks)
 	}
-	memo := newMappingMemo(e.generate)
+	memo := e.planMemo(tasks)
+	defer e.traceLive.Add(-memo.reserved)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -326,7 +333,7 @@ func (e *Engine) RunWithProgress(ctx context.Context, jobs []Job, progress Progr
 					report(t.positions...)
 					continue
 				}
-				res, churn, fromStore, err := e.runTask(ctx, t, memo.get)
+				res, churn, fromStore, err := e.runTask(ctx, t, memo)
 				if err == nil && !e.disableCache {
 					e.mu.Lock()
 					e.cache[t.key] = cached{res: res, churn: churn}

@@ -50,18 +50,14 @@ func (j Job) String() string {
 // the same key compute the same result, so the engine runs only one of
 // them.
 //
-// The workload is identified by its public parameters (Name, footprint,
-// instruction spacing, write fraction, allocator behaviour) — the access
-// pattern itself is keyed by Name, which uniquely names a generator in
-// the registered suite. Callers substituting a custom workload.Spec must
-// give it a distinct Name.
+// The workload is identified by workload.Spec.Identity: its Name, which
+// uniquely names a generator in the registered suite, and its public
+// parameters. Callers substituting a custom workload.Spec must give it a
+// distinct Name.
 func (j Job) Key() string {
 	c := j.Config.WithDefaults()
 	h := sha256.New()
-	fmt.Fprintf(h, "scheme=%d|wl=%s/%d/%d/%g/%t|sc=%d|",
-		c.Scheme, c.Workload.Name, c.Workload.FootprintPages,
-		c.Workload.MeanInstrsPerAccess, c.Workload.WriteFraction,
-		c.Workload.FineGrainedAlloc, c.Scenario)
+	fmt.Fprintf(h, "scheme=%d|wl=%s|sc=%d|", c.Scheme, c.Workload.Identity(), c.Scenario)
 	hw := c.HW
 	detailed := hw.Walk != nil
 	hw.Walk = nil

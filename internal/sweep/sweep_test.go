@@ -78,6 +78,18 @@ func TestKeyDistinguishesConfigs(t *testing.T) {
 	if base.Key() != defaulted.Key() {
 		t.Error("defaulted config hashes differently from its zero form")
 	}
+	// Persisted result stores are keyed by these strings: they must not
+	// change for an unchanged job. Both were recorded before the
+	// workload identity moved into workload.Spec.Identity.
+	if got, want := base.Key(), "04ac1c8313c5e7973bc518156fe703d8d39e58592c0ac834056b4904f5dc9348"; got != want {
+		t.Errorf("key of %v = %s, want %s", base, got, want)
+	}
+	jobs := smallSpec(t).Jobs()
+	churn := jobs[len(jobs)-1]
+	churn.ChurnIntervalInstructions, churn.ChurnPages = 5000, 64
+	if got, want := churn.Key(), "004851c52feaab430b8e28da1a31a01c9c03f017025532c703f3512c79811c53"; got != want {
+		t.Errorf("key of %v = %s, want %s", churn, got, want)
+	}
 	for name, mutate := range map[string]func(*Job){
 		"seed":     func(j *Job) { j.Config.Seed++ },
 		"scheme":   func(j *Job) { j.Config.Scheme = mmu.RMM },
@@ -170,7 +182,7 @@ func TestDeterministicOrder(t *testing.T) {
 	e := New(Options{Parallelism: n, DisableCache: true})
 	started := make(chan struct{}, n)
 	release := make(chan struct{})
-	e.runJob = func(j Job, _ sim.MappingSource) (sim.Result, sim.ChurnStats, error) {
+	e.runJob = func(j Job, _ sim.Inputs) (sim.Result, sim.ChurnStats, error) {
 		started <- struct{}{}
 		<-release
 		// Later seeds return sooner.
@@ -224,7 +236,7 @@ func TestCacheHitCounting(t *testing.T) {
 	}
 	var executed atomic.Int64
 	e := New(Options{Parallelism: 4})
-	e.runJob = func(j Job, _ sim.MappingSource) (sim.Result, sim.ChurnStats, error) {
+	e.runJob = func(j Job, _ sim.Inputs) (sim.Result, sim.ChurnStats, error) {
 		executed.Add(1)
 		return sim.Result{Instructions: uint64(j.Config.Seed)}, sim.ChurnStats{}, nil
 	}
@@ -261,7 +273,7 @@ func TestCacheHitCounting(t *testing.T) {
 	// DisableCache runs every duplicate.
 	raw := New(Options{Parallelism: 2, DisableCache: true})
 	var rawRuns atomic.Int64
-	raw.runJob = func(Job, sim.MappingSource) (sim.Result, sim.ChurnStats, error) {
+	raw.runJob = func(Job, sim.Inputs) (sim.Result, sim.ChurnStats, error) {
 		rawRuns.Add(1)
 		return sim.Result{}, sim.ChurnStats{}, nil
 	}
@@ -287,7 +299,7 @@ func TestParallelWallClockSpeedup(t *testing.T) {
 	}
 	elapsed := func(parallelism int) time.Duration {
 		e := New(Options{Parallelism: parallelism, DisableCache: true})
-		e.runJob = func(Job, sim.MappingSource) (sim.Result, sim.ChurnStats, error) {
+		e.runJob = func(Job, sim.Inputs) (sim.Result, sim.ChurnStats, error) {
 			time.Sleep(delay)
 			return sim.Result{}, sim.ChurnStats{}, nil
 		}
@@ -313,7 +325,7 @@ func TestContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	e := New(Options{Parallelism: 1, DisableCache: true})
 	blocked := make(chan struct{})
-	e.runJob = func(j Job, _ sim.MappingSource) (sim.Result, sim.ChurnStats, error) {
+	e.runJob = func(j Job, _ sim.Inputs) (sim.Result, sim.ChurnStats, error) {
 		if j.Config.Seed == 0 {
 			close(blocked)
 			<-ctx.Done() // first job straddles the cancellation
@@ -347,7 +359,7 @@ func TestPanicRecovery(t *testing.T) {
 		jobs[i].Config.Scheme = mmu.Anchor
 	}
 	e := New(Options{Parallelism: 2, DisableCache: true})
-	e.runJob = func(j Job, _ sim.MappingSource) (sim.Result, sim.ChurnStats, error) {
+	e.runJob = func(j Job, _ sim.Inputs) (sim.Result, sim.ChurnStats, error) {
 		if j.Config.Seed == 2 {
 			panic("boom")
 		}
@@ -375,7 +387,7 @@ func TestPanicRecovery(t *testing.T) {
 	}
 	// A panic is not cached: a retry re-executes it.
 	recovered := false
-	e.runJob = func(j Job, _ sim.MappingSource) (sim.Result, sim.ChurnStats, error) {
+	e.runJob = func(j Job, _ sim.Inputs) (sim.Result, sim.ChurnStats, error) {
 		if j.Config.Seed == 2 {
 			recovered = true
 		}
@@ -395,7 +407,7 @@ func TestErrorAggregation(t *testing.T) {
 		jobs[i].Config.Seed = int64(i)
 	}
 	e := New(Options{Parallelism: 2, DisableCache: true})
-	e.runJob = func(j Job, _ sim.MappingSource) (sim.Result, sim.ChurnStats, error) {
+	e.runJob = func(j Job, _ sim.Inputs) (sim.Result, sim.ChurnStats, error) {
 		if j.Config.Seed > 0 {
 			return sim.Result{}, sim.ChurnStats{}, fmt.Errorf("cell broke")
 		}
@@ -422,7 +434,7 @@ func TestProgressReporting(t *testing.T) {
 			calls = append(calls, done)
 		},
 	})
-	e.runJob = func(Job, sim.MappingSource) (sim.Result, sim.ChurnStats, error) {
+	e.runJob = func(Job, sim.Inputs) (sim.Result, sim.ChurnStats, error) {
 		return sim.Result{}, sim.ChurnStats{}, nil
 	}
 	if _, err := e.Run(context.Background(), jobs); err != nil {

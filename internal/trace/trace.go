@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"hybridtlb/internal/mem"
 )
@@ -131,19 +132,25 @@ func (l *limitSource) ReadBatch(dst []Record) int {
 }
 
 // Collect drains up to n records from a source into a slice (n == 0 drains
-// everything).
+// everything), reading them in batches. A positive n sizes the slice up
+// front.
 func Collect(src Source, n uint64) []Record {
 	var out []Record
-	for {
-		if n != 0 && uint64(len(out)) == n {
-			return out
-		}
-		r, ok := src.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, r)
+	if n != 0 {
+		out = make([]Record, 0, n)
 	}
+	bs := Batched(src)
+	for n == 0 || uint64(len(out)) < n {
+		if len(out) == cap(out) {
+			out = slices.Grow(out, 512)
+		}
+		k := bs.ReadBatch(out[len(out):cap(out)])
+		if k == 0 {
+			break
+		}
+		out = out[:len(out)+k]
+	}
+	return out
 }
 
 // Binary encoding: a fixed magic header, then one varint-packed record per

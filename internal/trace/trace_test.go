@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -56,7 +57,20 @@ func TestCollect(t *testing.T) {
 	if len(got) != 10 {
 		t.Errorf("Collect(0) = %d records, want all 10", len(got))
 	}
+	// A limit past the end stops at the end, and a source without a
+	// native ReadBatch collects the same records.
+	if got = Collect(NewSliceSource(recs), 20); !reflect.DeepEqual(got, recs) {
+		t.Errorf("Collect(20) = %d records, want all 10", len(got))
+	}
+	if got = Collect(nextOnly{NewSliceSource(recs)}, 0); !reflect.DeepEqual(got, recs) {
+		t.Errorf("Collect of a Next-only source = %d records, want all 10", len(got))
+	}
 }
+
+// nextOnly hides a source's ReadBatch.
+type nextOnly struct{ src Source }
+
+func (s nextOnly) Next() (Record, bool) { return s.src.Next() }
 
 func TestBinaryRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(9))

@@ -180,6 +180,14 @@ func Names() []string {
 	return out
 }
 
+// Identity names the spec in content-addressed keys: its Name, which
+// names the access pattern, and its public parameters. Specs with equal
+// identities generate equal traces from equal generator inputs, so a
+// custom Spec needs a Name of its own.
+func (s Spec) Identity() string {
+	return fmt.Sprintf("%s/%d/%d/%g/%t", s.Name, s.FootprintPages, s.MeanInstrsPerAccess, s.WriteFraction, s.FineGrainedAlloc)
+}
+
 // ByName finds a benchmark spec.
 func ByName(name string) (Spec, error) {
 	for _, s := range Suite() {
