@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check vet build test race fabric-test load-smoke bench bench-json bench-baseline experiments serve lint tools allocgate
+.PHONY: check vet build test race load-smoke bench bench-json bench-baseline experiments serve lint tools allocgate
 
-check: vet build lint allocgate race fabric-test load-smoke
+check: vet build lint allocgate race load-smoke
 
 vet:
 	$(GO) vet ./...
@@ -16,8 +16,8 @@ tools:
 
 # lint runs tlbvet, the project's custom go/analysis passes
 # (determinism, ctxflow, locksafe, closecheck, noprint, allocfree,
-# rpcsafe, lifecycle, metriclint — see DESIGN.md "Project invariants &
-# static analysis").
+# lifecycle, metriclint — see DESIGN.md "Project invariants & static
+# analysis").
 lint: tools
 	$(GO) vet -vettool=bin/tlbvet ./...
 
@@ -35,12 +35,6 @@ test:
 
 race:
 	$(GO) test -race ./...
-
-# fabric-test runs the distributed-sweep convergence check: a real
-# coordinator plus three tlbworker processes, one SIGKILLed mid-sweep;
-# results must stay byte-identical to a single-process run.
-fabric-test:
-	$(GO) test -race -run TestFabricCrashRecoveryKill9 -count=1 ./internal/server/
 
 # load-smoke runs the multi-tenant overload proof under -race: a short
 # tlbload run (two tenants at 10:1 offered load) against an in-process

@@ -4,16 +4,10 @@
 // bounded worker pool, a server-lifetime result cache, Prometheus-text
 // /metrics, health/readiness probes and graceful drain on SIGTERM.
 //
-// With -coordinator it additionally runs the distributed sweep fabric:
-// an RPC endpoint that shards sweep cells across tlbworker processes,
-// with heartbeat membership, work stealing, and dead-worker recovery.
-// Sweeps then execute across the fleet and assemble from the shared
-// content-addressed store — byte-identical to local execution.
-//
 // Examples:
 //
 //	tlbserver -addr :8080 -workers 2 -queue 4
-//	tlbserver -addr :8080 -state-dir /var/lib/tlbserver -coordinator :9090
+//	tlbserver -addr :8080 -state-dir /var/lib/tlbserver
 //	curl -s localhost:8080/v1/simulate -d '{"scheme":"anchor","workload":"gups","scenario":"medium"}'
 //	curl -s localhost:8080/v1/sweeps -d '{"schemes":["base","anchor"],"workloads":["gups"],"scenarios":["demand","medium"]}'
 package main
@@ -24,18 +18,14 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
-	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
 	"hybridtlb"
 	"hybridtlb/internal/buildinfo"
-	"hybridtlb/internal/fabric"
-	"hybridtlb/internal/persist"
 	"hybridtlb/internal/server"
 	"hybridtlb/internal/tenant"
 )
@@ -63,13 +53,6 @@ func main() {
 		enablePprof  = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (opt-in; reveals internals)")
 
 		storeMaxBytes = flag.Int64("store-max-bytes", 0, "prune the durable result store oldest-first past this size after each job (0: unbounded)")
-		coordinator   = flag.String("coordinator", "", "fabric RPC listen address; enables distributed sweeps (requires -state-dir)")
-		fabricTick    = flag.Duration("fabric-tick", 250*time.Millisecond, "fabric clock period (lease TTLs etc. count these ticks)")
-		fabricDead    = flag.Int("fabric-dead-after", 12, "heartbeat-silent ticks before a worker is declared dead")
-		fabricTTL     = flag.Int("fabric-lease-ttl", 2400, "ticks before an outstanding lease expires")
-		fabricSteal   = flag.Int("fabric-steal-after", 40, "lease age in ticks before an idle worker may steal the cell")
-		fabricFall    = flag.Int("fabric-fallback-after", 20, "ticks with zero live workers before pending cells resolve locally")
-		fabricRetries = flag.Int("fabric-remote-attempts", 2, "remote failures per cell before it resolves locally")
 		showVersion   = flag.Bool("version", false, "print the build identity and exit")
 	)
 	flag.Parse()
@@ -125,42 +108,6 @@ func main() {
 		EnablePprof:      *enablePprof,
 	}
 
-	// Coordinator mode: open the shared store up front, run sweeps
-	// through the fabric, and expose fabric metrics on /metrics. The
-	// store is the result transport, so -state-dir is mandatory here.
-	var coord *fabric.Coordinator
-	if *coordinator != "" {
-		if *stateDir == "" {
-			fmt.Fprintln(os.Stderr, "tlbserver: -coordinator requires -state-dir (the shared store is the fabric's result transport)")
-			os.Exit(2)
-		}
-		store, err := persist.OpenStore(filepath.Join(*stateDir, "store"))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tlbserver:", err)
-			os.Exit(1)
-		}
-		coord, err = fabric.NewCoordinator(fabric.Config{
-			Store:              store,
-			Version:            buildinfo.Version(),
-			LeaseTTLTicks:      *fabricTTL,
-			DeadAfterTicks:     *fabricDead,
-			StealAfterTicks:    *fabricSteal,
-			FallbackAfterTicks: *fabricFall,
-			MaxRemoteAttempts:  *fabricRetries,
-			SweepParallelism:   *sweepPar,
-			Retry:              hybridtlb.RetryPolicy{MaxAttempts: *retries, Seed: *chaosSeed},
-			Faults:             faults,
-			Logger:             log,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tlbserver:", err)
-			os.Exit(1)
-		}
-		cfg.PersistStore = store
-		cfg.Runner = coord
-		cfg.ExtraMetrics = coord.WriteMetrics
-	}
-
 	srv, err := server.New(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tlbserver:", err)
@@ -177,45 +124,6 @@ func main() {
 	defer stop()
 
 	errCh := make(chan error, 1)
-
-	// Fabric side: RPC listener for workers plus the ticker goroutine
-	// that advances the coordinator's clock (the coordinator itself is
-	// clock-free; all lease timing counts these ticks). The ticker runs
-	// on its own context, not the signal context: in-flight sweeps keep
-	// executing during the drain window and still need dead-worker
-	// detection, lease expiry, and the empty-fleet fallback, so the
-	// clock stops only after the drain completes.
-	tickCtx, stopTick := context.WithCancel(context.Background())
-	defer stopTick()
-	var fabricLn net.Listener
-	if coord != nil {
-		var err error
-		fabricLn, err = net.Listen("tcp", *coordinator)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tlbserver:", err)
-			os.Exit(1)
-		}
-		svc := fabric.NewService(coord)
-		go func() {
-			log.Info("fabric coordinator listening",
-				"addr", fabricLn.Addr().String(), "tick", *fabricTick, "version", buildinfo.Version())
-			if err := svc.Serve(fabricLn); err != nil {
-				errCh <- fmt.Errorf("fabric: %w", err)
-			}
-		}()
-		go func() {
-			t := time.NewTicker(*fabricTick)
-			defer t.Stop()
-			for {
-				select {
-				case <-tickCtx.Done():
-					return
-				case <-t.C:
-					coord.Tick()
-				}
-			}
-		}()
-	}
 
 	go func() {
 		log.Info("tlbserver listening", "addr", *addr, "workers", *workers, "queue", *queueDepth)
@@ -235,16 +143,10 @@ func main() {
 	// listener stays up — clients can still poll their results during
 	// the drain. Only then close the HTTP side.
 	log.Info("signal received; draining", "timeout", *drainTimeout)
-	if fabricLn != nil {
-		if err := fabricLn.Close(); err != nil {
-			log.Warn("closing fabric listener", "err", err)
-		}
-	}
 	srv.BeginShutdown()
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
 	drainErr := srv.Drain(shutdownCtx)
-	stopTick()
 	if err := httpSrv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		log.Warn("http shutdown", "err", err)
 	}

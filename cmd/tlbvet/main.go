@@ -1,6 +1,6 @@
 // Command tlbvet runs the project's custom static analyzers (see
 // internal/lint): determinism, ctxflow, locksafe, closecheck, noprint,
-// allocfree, rpcsafe, lifecycle, and metriclint.
+// allocfree, lifecycle, and metriclint.
 //
 // It works two ways:
 //

@@ -1,10 +1,7 @@
 // Package buildinfo derives a build-identity string from the binary's
-// embedded module and VCS metadata. Every fleet-facing command
-// (tlbserver, tlbworker, tlbsim) exposes it behind -version, and the
-// fabric coordinator compares it at worker registration so a cluster
-// never mixes binaries from different builds: a worker and coordinator
-// that disagree on the simulator would silently poison the shared
-// content-addressed result store.
+// embedded module and VCS metadata. tlbserver, tlbsim and tlbload print
+// it behind -version, so a served result, a simulation or a load report
+// can be traced to the exact build that produced it.
 package buildinfo
 
 import (
@@ -53,8 +50,8 @@ func fromBuildInfo(bi *debug.BuildInfo) string {
 			v += ".dirty"
 		}
 	}
-	// Defensive: the string travels through flag output and Prometheus
-	// labels; strip anything that could break a line-oriented consumer.
+	// Defensive: -version prints the string as one line; strip anything
+	// that could break a line-oriented consumer.
 	return strings.Map(func(r rune) rune {
 		if r == '\n' || r == '\r' || r == '"' {
 			return '_'

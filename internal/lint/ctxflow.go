@@ -33,7 +33,7 @@ var CtxFlow = &analysis.Analyzer{
 func runCtxFlow(pass *analysis.Pass) (any, error) {
 	// Package main is the cmd/ opt-out: root contexts originate there.
 	// Everything else in the module is library code and in scope.
-	if pass.Pkg.Name() == "main" || !inScope(pass.Pkg.Path(), "", "") {
+	if pass.Pkg.Name() == "main" || !inScope(pass.Pkg.Path(), "") {
 		return nil, nil
 	}
 	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)

@@ -30,25 +30,20 @@ var Determinism = &analysis.Analyzer{
 		"never sorted, sends on a channel, concatenates strings, or writes\n" +
 		"output. Collect keys and sort them first (see internal/report's\n" +
 		"sortedKeys helper). Module packages are in scope by discovery;\n" +
-		"-optout/-optin adjust the reviewed exclusion list.",
+		"-optout adjusts the reviewed exclusion list.",
 	Requires: []*analysis.Analyzer{inspect.Analyzer},
 	Run:      runDeterminism,
 }
 
-var (
-	determinismOptOut string
-	determinismOptIn  string
-)
+var determinismOptOut string
 
 func init() {
 	Determinism.Flags.StringVar(&determinismOptOut, "optout", defaultDeterminismOptOut,
 		"comma-separated module-relative path prefixes excluded from the simulation scope")
-	Determinism.Flags.StringVar(&determinismOptIn, "optin", defaultDeterminismOptIn,
-		"comma-separated module-relative path prefixes re-admitted despite an opt-out prefix")
 }
 
 func isSimPackage(path string) bool {
-	return inScope(path, determinismOptOut, determinismOptIn)
+	return inScope(path, determinismOptOut)
 }
 
 // randConstructors are the package-level math/rand functions that build

@@ -20,9 +20,6 @@
 //     translation pipeline's 0 allocs/access is an invariant, not a
 //     benchmark number. cmd/allocgate verifies the same regions
 //     against the compiler's escape analysis.
-//   - rpcsafe: net/rpc service types match the handler contract and
-//     their args/reply payloads are gob wire-safe (exported
-//     fixed-layout fields; no chan/func/interface anywhere).
 //   - lifecycle: every go statement in library packages has a provable
 //     shutdown path (ctx.Done select, WaitGroup pairing, or a
 //     close-signaled channel).
@@ -57,7 +54,6 @@ func All() []*analysis.Analyzer {
 		CloseCheck,
 		NoPrint,
 		AllocFree,
-		RPCSafe,
 		Lifecycle,
 		MetricLint,
 	}

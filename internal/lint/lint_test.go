@@ -33,12 +33,6 @@ func TestDeterminismCmdOptOut(t *testing.T) {
 	linttest.Run(t, lint.Determinism, "cmd/clockmain")
 }
 
-// TestDeterminismWorkerOptIn proves the opt-in overrides the cmd/
-// opt-out: cmd/tlbworker is held to library determinism.
-func TestDeterminismWorkerOptIn(t *testing.T) {
-	linttest.Run(t, lint.Determinism, "cmd/tlbworker")
-}
-
 func TestCtxFlow(t *testing.T) {
 	linttest.Run(t, lint.CtxFlow, "internal/ctxflow")
 }
@@ -73,10 +67,6 @@ func TestAllocFree(t *testing.T) {
 	linttest.Run(t, lint.AllocFree, "allocfree")
 }
 
-func TestRPCSafe(t *testing.T) {
-	linttest.Run(t, lint.RPCSafe, "rpcsafe")
-}
-
 func TestLifecycle(t *testing.T) {
 	linttest.Run(t, lint.Lifecycle, "lifecycle")
 }
@@ -85,13 +75,13 @@ func TestMetricLint(t *testing.T) {
 	linttest.Run(t, lint.MetricLint, "metriclint")
 }
 
-// TestAll pins the analyzer roster: tlbvet ships the nine passes the
+// TestAll pins the analyzer roster: tlbvet ships the eight passes the
 // project invariants document, with unique names and non-empty docs
 // (unitchecker rejects analyzers without them).
 func TestAll(t *testing.T) {
 	all := lint.All()
-	if len(all) < 9 {
-		t.Fatalf("expected at least 9 analyzers, got %d", len(all))
+	if len(all) < 8 {
+		t.Fatalf("expected at least 8 analyzers, got %d", len(all))
 	}
 	seen := make(map[string]bool)
 	for _, a := range all {
@@ -105,7 +95,7 @@ func TestAll(t *testing.T) {
 	}
 	for _, want := range []string{
 		"determinism", "ctxflow", "locksafe", "closecheck", "noprint",
-		"allocfree", "rpcsafe", "lifecycle", "metriclint",
+		"allocfree", "lifecycle", "metriclint",
 	} {
 		if !seen[want] {
 			t.Errorf("analyzer %q missing from lint.All()", want)

@@ -45,13 +45,11 @@ var MetricLint = &analysis.Analyzer{
 //   - route: HTTP route patterns — a closed set registered at startup
 //     (the server records patterns, never raw paths).
 //   - le: histogram bucket bounds from a fixed bucket table.
-//   - worker: live fabric workers only — bounded by fleet size; dead
-//     workers leave the gauge when membership declares them dead.
 //   - tenant: names from the static keyfile loaded at startup — the
 //     admission layer authenticates before any labeled counter is
 //     touched, so unknown keys can never mint a series (see
 //     internal/tenant's cardinality contract).
-const defaultBoundedLabels = "route,le,worker,tenant"
+const defaultBoundedLabels = "route,le,tenant"
 
 var metricBoundedLabels string
 

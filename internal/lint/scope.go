@@ -4,9 +4,8 @@ import "strings"
 
 // Module-path-prefix scope discovery. Earlier tlbvet versions kept a
 // hand-maintained import-path list inside the determinism analyzer;
-// every new package (internal/persist in PR 4, internal/fabric in
-// PR 6, ...) had to be appended by hand or it silently escaped the
-// lint. Discovery inverts that: every package under the module is in
+// every new package had to be appended by hand or it silently escaped
+// the lint. Discovery inverts that: every package under the module is in
 // scope by construction, and *exclusion* is the explicit, reviewable
 // act — a package leaves the determinism scope only by appearing in
 // the opt-out list below with a reason.
@@ -34,13 +33,6 @@ const modulePath = "hybridtlb"
 //     and sim layers it delegates to (and pinned by equivalence tests).
 const defaultDeterminismOptOut = "cmd/,internal/server"
 
-// defaultDeterminismOptIn re-admits packages that a broader opt-out
-// prefix would exclude. cmd/tlbworker executes sweep cells for the
-// fabric: every worker must simulate a cell bit-for-bit identically or
-// the content-addressed store and first-Complete-wins protocol break,
-// so it is held to library determinism despite being a binary.
-const defaultDeterminismOptIn = "cmd/tlbworker"
-
 // moduleRelative maps a package path to its module-relative form, and
 // reports whether the package belongs to this module at all. Fixture
 // paths ("internal/sim", "cmd/x") are already module-relative.
@@ -56,18 +48,14 @@ func moduleRelative(path string) (string, bool) {
 	return "", false
 }
 
-// inScope implements discovery with an opt-out/opt-in pair: a module
-// package is in scope unless an opt-out prefix matches, and an opt-in
-// prefix overrides the opt-out. Both lists hold comma-separated
-// module-relative path prefixes ("cmd/" excludes every binary;
-// "cmd/tlbworker" re-admits one).
-func inScope(path, optOut, optIn string) bool {
+// inScope implements discovery with an opt-out list: a module package
+// is in scope unless an opt-out prefix matches. The list holds
+// comma-separated module-relative path prefixes ("cmd/" excludes every
+// binary).
+func inScope(path, optOut string) bool {
 	rel, ok := moduleRelative(path)
 	if !ok {
 		return false
-	}
-	if hasListedPrefix(rel, optIn) {
-		return true
 	}
 	return !hasListedPrefix(rel, optOut)
 }

@@ -14,7 +14,7 @@ func TestModuleRelative(t *testing.T) {
 		// linttest fixtures use their testdata-relative path as the
 		// import path; the bare spellings are module-relative already.
 		{"internal/sim", "internal/sim", true},
-		{"cmd/tlbworker", "cmd/tlbworker", true},
+		{"cmd/clockmain", "cmd/clockmain", true},
 		// Foreign packages are never in scope.
 		{"fmt", "", false},
 		{"plain", "", false},
@@ -30,7 +30,6 @@ func TestModuleRelative(t *testing.T) {
 
 func TestInScope(t *testing.T) {
 	const optOut = defaultDeterminismOptOut // "cmd/,internal/server"
-	const optIn = defaultDeterminismOptIn   // "cmd/tlbworker"
 	cases := []struct {
 		path string
 		want bool
@@ -38,23 +37,20 @@ func TestInScope(t *testing.T) {
 		// Discovery: every module package is in scope by construction.
 		{"hybridtlb", true},
 		{"hybridtlb/internal/sim", true},
-		{"hybridtlb/internal/fabric", true},
+		{"hybridtlb/internal/persist", true},
 		{"hybridtlb/internal/lint", true}, // dogfooding: the linter lints itself
 		// Opt-out by prefix, with and without trailing slash semantics.
 		{"hybridtlb/cmd/tlbsim", false},
 		{"hybridtlb/internal/server", false},
 		// A package merely sharing the prefix string is not excluded.
 		{"hybridtlb/internal/serverutil", true},
-		// Opt-in overrides opt-out.
-		{"hybridtlb/cmd/tlbworker", true},
 		// Fixture spellings behave identically.
 		{"internal/sim", true},
 		{"cmd/clockmain", false},
-		{"cmd/tlbworker", true},
 		{"plain", false},
 	}
 	for _, c := range cases {
-		if got := inScope(c.path, optOut, optIn); got != c.want {
+		if got := inScope(c.path, optOut); got != c.want {
 			t.Errorf("inScope(%q) = %v, want %v", c.path, got, c.want)
 		}
 	}

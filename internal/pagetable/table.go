@@ -58,7 +58,7 @@ const tableRegionBase mem.PhysAddr = 1 << 46
 // Stats counts page table maintenance work, used for the anchor-distance
 // change cost model of Section 3.3.
 type Stats struct {
-	Nodes     uint64 // table pages allocated
+	Nodes     uint64 // live table pages
 	PTEWrites uint64 // leaf entry writes (map/unmap/anchor updates)
 	PTEReads  uint64 // leaf entry reads during sweeps
 	Walks     uint64 // full translations performed via Walk
@@ -75,13 +75,17 @@ const leafSlab = 32
 type Table struct {
 	root  *pml4Table
 	stats Stats
+	// frames counts table frames ever handed out. Unlike Stats.Nodes it
+	// never falls, so a table allocated after a Collapse2M never takes a
+	// live table's frame.
+	frames uint64
 	// slab holds the leaf tables of the current slab not yet handed out.
 	slab []leaf
 }
 
 // New creates an empty page table.
 func New() *Table {
-	return &Table{root: new(pml4Table), stats: Stats{Nodes: 1}}
+	return &Table{root: new(pml4Table), stats: Stats{Nodes: 1}, frames: 1}
 }
 
 // Stats returns the accumulated maintenance counters.
@@ -110,8 +114,9 @@ func childAt[C any](t *Table, d *dir[C], i int) *C {
 // of the table region, recorded in d's entry.
 func link[C any](t *Table, d *dir[C], i int, c *C) {
 	d.child[i] = c
-	frame := mem.PFN(tableRegionBase>>mem.Shift4K) + mem.PFN(t.stats.Nodes)
+	frame := mem.PFN(tableRegionBase>>mem.Shift4K) + mem.PFN(t.frames)
 	d.pte[i] = (FlagPresent | FlagWrite | FlagUser).WithPFN(frame)
+	t.frames++
 	t.stats.Nodes++
 }
 

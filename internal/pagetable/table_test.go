@@ -1,6 +1,7 @@
 package pagetable
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -501,6 +502,34 @@ func TestCollapse2M(t *testing.T) {
 	}
 	if err := pt.Collapse2M(1<<30, 0, 0); err == nil {
 		t.Error("collapse of absent table accepted")
+	}
+
+	// A table allocated after a collapse must not take a live table's
+	// frame, or the detailed walk model charges two tables to one line.
+	pt = New()
+	pt.Map4K(0, 1, 0)
+	pt.Map4K(512, 2, 0)
+	if err := pt.Collapse2M(0, 1024, 0); err != nil {
+		t.Fatal(err)
+	}
+	pt.Map4K(1024, 3, 0)
+	tables := make(map[mem.PhysAddr]string) // frame -> table
+	for _, vpn := range []mem.VPN{512, 1024} {
+		lines := pt.WalkLines(vpn)
+		if len(lines) != int(numLevels) {
+			t.Fatalf("WalkLines(%d) = %d lines, want %d", vpn, len(lines), numLevels)
+		}
+		for l, line := range lines {
+			frame := line &^ (1<<mem.Shift4K - 1)
+			table := [...]string{"PML4", "PDPT", "PD"}[min(l, 2)] // shared
+			if Level(l) == LevelPT {
+				table = fmt.Sprintf("leaf of VPN %d", vpn)
+			}
+			if prev, ok := tables[frame]; ok && prev != table {
+				t.Errorf("%s and %s share frame %#x", prev, table, uint64(frame))
+			}
+			tables[frame] = table
+		}
 	}
 }
 

@@ -73,6 +73,12 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) *apiError {
 	return nil
 }
 
+// maxFootprintPages caps footprint_pages: 8× the largest workload
+// default (2^21 pages). Peak memory grows about 13.5 bytes per page, so
+// a simulation at the cap needs about 225 MiB, while 2^30 pages would
+// need about 14 GiB and kill the process.
+const maxFootprintPages = 1 << 24
+
 // Limits bound what one request may ask of the simulator.
 type Limits struct {
 	// MaxAccesses caps the measured accesses of a single simulation.
@@ -136,6 +142,13 @@ func (req SimulateRequest) validate(lim Limits) *apiError {
 	}
 	if lim.MaxAccesses > 0 && req.Accesses > lim.MaxAccesses {
 		return invalidField("accesses", "accesses %d exceeds the server limit %d", req.Accesses, lim.MaxAccesses)
+	}
+	if req.FootprintPages > maxFootprintPages {
+		return invalidField("footprint_pages", "footprint_pages %d exceeds the server limit %d", req.FootprintPages, maxFootprintPages)
+	}
+	if d := req.FixedAnchorDistance; d != 0 && !core.ValidDistance(d) {
+		return invalidField("fixed_anchor_distance", "fixed_anchor_distance %d is not a power of two in [%d, %d]",
+			d, core.MinDistance, core.MaxDistance)
 	}
 	if req.Shards < 0 {
 		return invalidField("shards", "shards %d is negative", req.Shards)

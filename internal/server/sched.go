@@ -12,8 +12,7 @@ package server
 //
 // The structure is deliberately pure — no clocks, no goroutines, no
 // channels — so the fairness invariants are provable with plain
-// sequential tests (the clock-free pattern internal/fabric established
-// for lease timing). The queue wrapper owns all locking.
+// sequential tests. The queue wrapper owns all locking.
 
 // Priority orders jobs within one tenant's queue. Two levels only:
 // interactive work (small exploratory sweeps a human is waiting on)

@@ -7,10 +7,9 @@ import (
 	"hybridtlb"
 )
 
-// Scheduler invariants are proven clock-free, in the internal/fabric
-// style: the scheduler is a pure structure, so fairness claims reduce
-// to assertions over pop() sequences — no sleeps, no goroutines, no
-// wall time.
+// Scheduler invariants are proven clock-free: the scheduler is a pure
+// structure, so fairness claims reduce to assertions over pop()
+// sequences — no sleeps, no goroutines, no wall time.
 
 // schedJob builds a queued job for tenant with the given cell cost and
 // priority.

@@ -100,12 +100,6 @@ type Config struct {
 	// jobs and resumes interrupted ones (re-simulating only cells not
 	// yet in the store). Empty: memory-only, the previous behavior.
 	StateDir string
-	// PersistStore, when non-nil, substitutes an already-open result
-	// store for the one New would open under StateDir — the seam that
-	// lets the fabric coordinator and the HTTP server share one
-	// content-addressed store instance (and its counters). The journal
-	// still comes from StateDir when that is also set.
-	PersistStore *persist.ResultStore
 	// StoreMaxBytes, when positive, caps the result store's on-disk
 	// size: after every finished job the oldest envelopes are pruned
 	// until the store fits (see persist.ResultStore.Prune). Zero:
@@ -126,11 +120,6 @@ type Config struct {
 	// hybridtlb.Sweeper with SweepParallelism, wired to the StateDir
 	// store when one is configured).
 	Runner Runner
-	// ExtraMetrics, when non-nil, is invoked at the end of every
-	// /metrics render to append additional Prometheus-text families —
-	// the seam through which the fabric coordinator exposes its
-	// membership and lease counters on the server's endpoint.
-	ExtraMetrics func(w io.Writer)
 }
 
 func (c Config) withDefaults() Config {
@@ -245,15 +234,12 @@ func New(cfg Config) (*Server, error) {
 	}
 
 	var replayed []persist.Record
-	s.persistStore = cfg.PersistStore
 	if cfg.StateDir != "" {
-		if s.persistStore == nil {
-			store, err := persist.OpenStore(filepath.Join(cfg.StateDir, "store"))
-			if err != nil {
-				return nil, fmt.Errorf("server: %w", err)
-			}
-			s.persistStore = store
+		store, err := persist.OpenStore(filepath.Join(cfg.StateDir, "store"))
+		if err != nil {
+			return nil, fmt.Errorf("server: %w", err)
 		}
+		s.persistStore = store
 		journal, recs, err := persist.OpenJournal(filepath.Join(cfg.StateDir, "journal.jsonl"))
 		if err != nil {
 			return nil, fmt.Errorf("server: %w", err)
@@ -844,9 +830,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.metrics.write(w, g)
-	if s.cfg.ExtraMetrics != nil {
-		s.cfg.ExtraMetrics(w)
-	}
 }
 
 // pruneStore enforces Config.StoreMaxBytes after a job finishes. A

@@ -147,6 +147,9 @@ func TestSimulateValidation(t *testing.T) {
 		{"accesses over cap", `{"scheme":"anchor","workload":"gups","scenario":"demand","accesses":999999999}`, "accesses"},
 		{"unknown cost model", `{"scheme":"anchor","workload":"gups","scenario":"demand","cost_model":"psychic"}`, "cost_model"},
 		{"negative shards", `{"scheme":"anchor","workload":"gups","scenario":"demand","shards":-1}`, "shards"},
+		{"footprint over cap", `{"scheme":"anchor","workload":"gups","scenario":"demand","footprint_pages":16777217}`, "footprint_pages"},
+		{"invalid fixed distance", `{"scheme":"anchor","workload":"gups","scenario":"demand","fixed_anchor_distance":3}`, "fixed_anchor_distance"},
+		{"invalid fixed distance, no anchors", `{"scheme":"base","workload":"gups","scenario":"demand","fixed_anchor_distance":131072}`, "fixed_anchor_distance"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -235,16 +238,22 @@ func TestSweepValidation(t *testing.T) {
 			t.Errorf("message = %q, want one containing %q", apiErr.Message, want)
 		}
 	})
-	t.Run("bad cell name", func(t *testing.T) {
-		resp := postJSON(t, ts.URL+"/v1/sweeps", `{"schemes":["warp"],"workloads":["gups"],"scenarios":["demand"]}`)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("status = %d, want 400", resp.StatusCode)
-		}
-		env := decodeBody[errEnvelope](t, resp)
-		if env.Error.Field != "scheme" {
-			t.Errorf("field = %q, want scheme", env.Error.Field)
-		}
-	})
+	for _, tc := range []struct{ name, body, field string }{
+		{"bad cell name", `{"schemes":["warp"],"workloads":["gups"],"scenarios":["demand"]}`, "scheme"},
+		{"footprint over cap", `{"schemes":["anchor"],"workloads":["gups"],"scenarios":["demand"],"footprint_pages":16777217}`, "footprint_pages"},
+		{"invalid distance", `{"schemes":["anchor"],"workloads":["gups"],"scenarios":["demand"],"distances":[0,3]}`, "fixed_anchor_distance"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp := postJSON(t, ts.URL+"/v1/sweeps", tc.body)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("status = %d, want 400", resp.StatusCode)
+			}
+			env := decodeBody[errEnvelope](t, resp)
+			if env.Error.Field != tc.field {
+				t.Errorf("field = %q, want %s", env.Error.Field, tc.field)
+			}
+		})
+	}
 	// "shards" is deprecated and ignored, but still decoded: old clients'
 	// sweeps are accepted, and a negative value is still rejected.
 	t.Run("deprecated shards", func(t *testing.T) {

@@ -119,22 +119,6 @@ func (s CacheStats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Jobs)
 }
 
-// CellKey returns the content-addressed cache key of one sweep cell: a
-// SHA-256 over a canonical serialization of the validated, defaulted
-// configuration. It is the key the sweep engine memoizes under, the
-// durable ResultStore persists under, and the distributed fabric leases
-// by — two configs with equal keys compute byte-identical results, so
-// any layer may serve one's result for the other. The Probe field never
-// participates (probes are observational). Invalid configs (unknown
-// scheme/workload/scenario names) return an error.
-func CellKey(cfg SimulationConfig) (string, error) {
-	simCfg, _, err := cfg.toSimConfig()
-	if err != nil {
-		return "", err
-	}
-	return sweep.Job{Config: simCfg}.Key(), nil
-}
-
 // SweepResult pairs one sweep config's metrics with its per-job outcome.
 type SweepResult struct {
 	SimulationResult
