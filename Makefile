@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race load-smoke bench bench-json bench-baseline experiments serve lint tools allocgate
+.PHONY: check vet build test race load-smoke bench bench-json bench-baseline bench-pair experiments serve lint tools allocgate
 
 check: vet build lint allocgate race load-smoke
 
@@ -63,6 +63,39 @@ bench-json:
 bench-baseline:
 	$(GO) test -run xxx -bench BenchmarkTranslateHotPath -benchmem -benchtime $(BENCHTIME) . \
 		| $(GO) run ./cmd/benchjson -out "" -baseline BENCH_pipeline.json
+
+# bench-pair alternates end-to-end tlbbench runs of BASE (a commit,
+# extracted with git archive into .bench_pair/) and of the working tree:
+# PAIRS pairs of WORKLOAD at SEED, at most four per command, the side
+# that runs first alternating from pair to pair. Every run is in the
+# foreground under a five-minute timeout. Each run's result line is
+# appended to .bench_pair/pairs.jsonl, and benchjson -pairs then
+# summarizes everything the log holds: each side's median and quartiles
+# per end-to-end metric and the working tree's wins. Remove the log to
+# start a new comparison.
+BASE ?= HEAD
+WORKLOAD ?= remap-churn
+SEED ?= 7
+PAIRS ?= 4
+bench-pair:
+	@[ "$(PAIRS)" -ge 1 ] && [ "$(PAIRS)" -le 4 ] || { echo "bench-pair: PAIRS must be 1 to 4, got $(PAIRS)" >&2; exit 2; }
+	@rev=$$(git rev-parse --verify "$(BASE)^{commit}") || exit 2; \
+	dir=.bench_pair/$$rev; \
+	if [ ! -d $$dir ]; then \
+		rm -rf $$dir.tmp && mkdir -p $$dir.tmp && git archive $$rev | tar -x -C $$dir.tmp && mv $$dir.tmp $$dir || exit 2; \
+	fi; \
+	for i in $$(seq $(PAIRS)); do \
+		order="base change"; [ $$((i % 2)) = 1 ] || order="change base"; \
+		for side in $$order; do \
+			d=.; [ $$side = change ] || d=$$dir; \
+			(cd $$d && timeout 300 bash cmd/tlbbench/run.sh --workload $(WORKLOAD) --seed $(SEED) --seconds 30 --trace 0) > .bench_pair/run.out \
+				|| { echo "bench-pair: pair $$i, $$side side failed" >&2; exit 1; }; \
+			line=$$(tail -n 1 .bench_pair/run.out); \
+			echo "bench-pair: pair $$i $$side: $$line"; \
+			printf '{"side":"%s","workload":"%s","seed":%s,"verdict":%s}\n' $$side "$(WORKLOAD)" "$(SEED)" "$$line" >> .bench_pair/pairs.jsonl; \
+		done; \
+	done
+	$(GO) run ./cmd/benchjson -pairs .bench_pair/pairs.jsonl
 
 # Full evaluation tables/figures (cmd/experiments at default scale).
 experiments:

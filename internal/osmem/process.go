@@ -59,7 +59,8 @@ func (p *Process) Policy() Policy { return p.policy }
 // AnchorDistance returns the current anchor distance in pages.
 func (p *Process) AnchorDistance() uint64 { return p.dist }
 
-// Chunks returns the authoritative mapping (do not mutate).
+// Chunks returns the authoritative mapping. Callers must not mutate it,
+// and mapping updates rewrite it in place: copy it to keep it across one.
 func (p *Process) Chunks() mem.ChunkList { return p.chunks }
 
 // Histogram computes the contiguity histogram of the current mapping, the

@@ -2,6 +2,8 @@ package osmem
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 
 	"hybridtlb/internal/mem"
 	"hybridtlb/internal/pagetable"
@@ -26,31 +28,43 @@ func (p *Process) AppendChunk(c mem.Chunk) error {
 	if err := checkChunkRange(c); err != nil {
 		return err
 	}
-	for _, existing := range p.chunks {
-		if c.StartVPN < existing.EndVPN() && existing.StartVPN < c.EndVPN() {
-			return fmt.Errorf("osmem: chunk %v overlaps existing %v", c, existing)
-		}
+	// The list is sorted and disjoint, so the first chunk ending after
+	// c's start is the only one that can overlap c, and otherwise where
+	// c goes.
+	i := sort.Search(len(p.chunks), func(k int) bool { return p.chunks[k].EndVPN() > c.StartVPN })
+	if i < len(p.chunks) && p.chunks[i].StartVPN < c.EndVPN() {
+		return fmt.Errorf("osmem: chunk %v overlaps existing %v", c, p.chunks[i])
 	}
 
 	// Map the new pages themselves (THP only inside the fresh chunk; the
 	// anchored-tail rule uses the distance in effect at the chunk's VA).
 	p.installChunkAt(c, p.distanceForChunk(c))
 
-	// Merge into the authoritative list.
-	p.chunks = append(p.chunks, c)
-	p.chunks.Sort()
-	p.chunks = p.chunks.CoalesceVirtual()
+	// Splice c into the list, merged with each neighbour it continues
+	// both virtually and physically, so the list stays the maximal runs.
+	merged, lo, hi := c, i, i
+	if i > 0 && continues(p.chunks[i-1], c) {
+		lo--
+		merged = mem.Chunk{StartVPN: p.chunks[lo].StartVPN, StartPFN: p.chunks[lo].StartPFN, Pages: p.chunks[lo].Pages + c.Pages}
+	}
+	if i < len(p.chunks) && continues(c, p.chunks[i]) {
+		merged.Pages += p.chunks[i].Pages
+		hi++
+	}
+	p.chunks = slices.Replace(p.chunks, lo, hi, merged)
 
 	// If the chunk merged with neighbours, the merged chunk's anchors
 	// (including ones before the new pages) see longer runs: rewrite them.
-	merged, ok := p.chunks.Lookup(c.StartVPN)
-	if !ok {
-		panic("osmem: appended chunk not found after merge")
-	}
 	if merged != c && p.policy.Anchors {
 		p.rewriteAnchorsIn(merged.StartVPN, merged.EndVPN())
 	}
 	return nil
+}
+
+// continues reports whether b starts where a ends, virtually and
+// physically, so the two are one run.
+func continues(a, b mem.Chunk) bool {
+	return a.EndVPN() == b.StartVPN && a.EndPFN() == b.StartPFN
 }
 
 // UnmapRange removes [startVPN, startVPN+pages) from the mapping: page
@@ -64,12 +78,15 @@ func (p *Process) UnmapRange(startVPN mem.VPN, pages uint64) {
 		return
 	}
 	endVPN := startVPN + mem.VPN(pages)
-	var next mem.ChunkList
-	for _, c := range p.chunks {
-		if endVPN <= c.StartVPN || c.EndVPN() <= startVPN {
-			next = append(next, c)
-			continue
-		}
+	// The cut touches the chunks [i, j): from the first ending after
+	// startVPN to the last starting before endVPN. Only the first can
+	// keep a head and only the last a tail, which replace the run.
+	i := sort.Search(len(p.chunks), func(k int) bool { return p.chunks[k].EndVPN() > startVPN })
+	j := i
+	var kept [2]mem.Chunk
+	n := 0
+	for ; j < len(p.chunks) && p.chunks[j].StartVPN < endVPN; j++ {
+		c := p.chunks[j]
 		lo, hi := c.StartVPN, c.EndVPN()
 		cutLo, cutHi := maxVPN(lo, startVPN), minVPN(hi, endVPN)
 
@@ -80,14 +97,15 @@ func (p *Process) UnmapRange(startVPN mem.VPN, pages uint64) {
 			}
 		}
 		if lo < cutLo {
-			next = append(next, mem.Chunk{StartVPN: lo, StartPFN: c.StartPFN, Pages: uint64(cutLo - lo)})
+			kept[n] = mem.Chunk{StartVPN: lo, StartPFN: c.StartPFN, Pages: uint64(cutLo - lo)}
+			n++
 		}
 		if cutHi < hi {
-			next = append(next, mem.Chunk{StartVPN: cutHi, StartPFN: c.Translate(cutHi), Pages: uint64(hi - cutHi)})
+			kept[n] = mem.Chunk{StartVPN: cutHi, StartPFN: c.Translate(cutHi), Pages: uint64(hi - cutHi)}
+			n++
 		}
 	}
-	next.Sort()
-	p.chunks = next
+	p.chunks = slices.Replace(p.chunks, i, j, kept[:n]...)
 
 	if p.policy.Anchors {
 		// Runs ending at or after the cut changed; rewriting anchors over

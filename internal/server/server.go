@@ -84,8 +84,8 @@ type Config struct {
 	// profiling during overload investigations. Off by default: the
 	// endpoints reveal internals and cost CPU, so they are opt-in.
 	EnablePprof bool
-	// MaxAccesses caps per-simulation measured accesses
-	// (default 5,000,000; negative disables the cap).
+	// MaxAccesses caps per-simulation measured accesses. Zero means the
+	// default, 5,000,000: the cap is always on.
 	MaxAccesses uint64
 	// MaxSweepJobs caps one request's expanded grid size
 	// (default 4096; negative disables the cap).

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"hybridtlb/internal/mem"
-	"hybridtlb/internal/mmu"
 	"hybridtlb/internal/osmem"
 )
 
@@ -39,7 +38,8 @@ type ChurnStats struct {
 // of the footprint. Remapped regions keep their virtual addresses (a
 // free immediately followed by an allocation reusing them), so the
 // workload never faults; only the physical side and the affected anchors
-// change.
+// change. Churn runs model neither the detailed walk nor multi-region
+// anchors, and their Result carries no AnchorActions.
 func RunWithChurn(cfg ChurnConfig) (Result, ChurnStats, error) {
 	return RunWithChurnFrom(cfg, Generated)
 }
@@ -47,90 +47,64 @@ func RunWithChurn(cfg ChurnConfig) (Result, ChurnStats, error) {
 // RunWithChurnFrom is RunWithChurn with the initial mapping and the trace
 // drawn from in.
 func RunWithChurnFrom(cfg ChurnConfig, in Inputs) (Result, ChurnStats, error) {
-	base := cfg.Config.withDefaults()
 	if cfg.ChurnIntervalInstructions == 0 || cfg.ChurnPages == 0 {
 		return Result{}, ChurnStats{}, fmt.Errorf("sim: churn interval and size must be positive")
 	}
+	return run(cfg.Config, in, &cfg, drive)
+}
 
-	cl, err := in.Mapping(MappingOf(base))
-	if err != nil {
-		return Result{}, ChurnStats{}, fmt.Errorf("sim: generating mapping: %w", err)
+// churner performs a run's churn operations. The drive calls op each time
+// interval instructions have retired since the run started or since the
+// last operation, warmup included.
+type churner struct {
+	interval, pages uint64
+	// lo and hi bound the initial mapping's virtual span, where every
+	// remapped region lies.
+	lo, hi mem.VPN
+	rng    *rand.Rand
+	// fresh is the first frame of the next remap: frames come from a
+	// region above everything the mapping generator used, within the
+	// architectural 40-bit PFN field.
+	fresh mem.PFN
+	stats ChurnStats
+}
+
+func newChurner(cfg ChurnConfig, cl mem.ChunkList) *churner {
+	return &churner{
+		interval: cfg.ChurnIntervalInstructions,
+		pages:    cfg.ChurnPages,
+		lo:       cl[0].StartVPN,
+		hi:       cl[len(cl)-1].EndVPN(),
+		rng:      rand.New(rand.NewSource(cfg.Seed ^ 0x636875726e)), // "churn"
+		fresh:    mem.PFN(1) << 38,
 	}
-	pol := base.Scheme.Policy()
-	pol.Cost = base.CostModel
-	proc := osmem.NewProcess(pol)
-	if err := proc.InstallChunks(cl, base.FixedDistance); err != nil {
-		return Result{}, ChurnStats{}, fmt.Errorf("sim: installing mapping: %w", err)
+}
+
+// op frees a random region of the span and reallocates it at the same
+// virtual addresses on fresh frames. A span no larger than one region
+// leaves nothing to choose, and op draws nothing.
+func (c *churner) op(proc *osmem.Process) error {
+	span := uint64(c.hi - c.lo)
+	if span <= c.pages {
+		return nil
 	}
-	m := mmu.New(base.Scheme, base.HW, proc)
-
-	startVPN := cl[0].StartVPN
-	endVPN := cl[len(cl)-1].EndVPN()
-	src := in.Trace(TraceOf(base, startVPN))
-
-	res := Result{
-		Scheme:   base.Scheme,
-		Workload: base.Workload.Name,
-		Scenario: base.Scenario,
-		Chunks:   len(cl),
+	v := c.lo + mem.VPN(uint64(c.rng.Int63n(int64(span-c.pages))))
+	proc.UnmapRange(v, c.pages)
+	if err := proc.AppendChunk(mem.Chunk{StartVPN: v, StartPFN: c.fresh, Pages: c.pages}); err != nil {
+		return fmt.Errorf("sim: churn remap: %w", err)
 	}
-	r := rand.New(rand.NewSource(base.Seed ^ 0x636875726e)) // "churn"
-	// Fresh frames for remaps come from a region above everything the
-	// mapping generator used, within the architectural 40-bit PFN field.
-	freshPFN := mem.PFN(1) << 38
+	c.fresh += mem.PFN(c.pages + 512)
+	c.stats.Operations++
+	c.stats.PagesRemapped += c.pages
+	return nil
+}
 
-	var stats ChurnStats
-	var instructions, sinceChurn, sinceEpoch uint64
-	warmLeft := base.WarmupAccesses
-	var warmStats mmu.Stats
-	var warmInstr uint64
-	dynamic := pol.Anchors && base.FixedDistance == 0
-
-	for {
-		rec, ok := src.Next()
-		if !ok {
-			break
-		}
-		m.Translate(rec.VPN)
-		instructions += uint64(rec.Instrs)
-		sinceChurn += uint64(rec.Instrs)
-		sinceEpoch += uint64(rec.Instrs)
-
-		if warmLeft > 0 {
-			warmLeft--
-			if warmLeft == 0 {
-				warmStats = m.Stats()
-				warmInstr = instructions
-			}
-		}
-		if sinceChurn >= cfg.ChurnIntervalInstructions {
-			sinceChurn = 0
-			// Free + realloc a random region at the same VA.
-			span := uint64(endVPN - startVPN)
-			if span > cfg.ChurnPages {
-				v := startVPN + mem.VPN(uint64(r.Int63n(int64(span-cfg.ChurnPages))))
-				proc.UnmapRange(v, cfg.ChurnPages)
-				if err := proc.AppendChunk(mem.Chunk{StartVPN: v, StartPFN: freshPFN, Pages: cfg.ChurnPages}); err != nil {
-					return Result{}, ChurnStats{}, fmt.Errorf("sim: churn remap: %w", err)
-				}
-				freshPFN += mem.PFN(cfg.ChurnPages + 512)
-				stats.Operations++
-				stats.PagesRemapped += cfg.ChurnPages
-			}
-		}
-		if dynamic && sinceEpoch >= base.EpochInstructions {
-			sinceEpoch = 0
-			proc.Reselect(base.SweepCost)
-		}
-	}
-	res.Stats = subStats(m.Stats(), warmStats)
-	res.Instructions = instructions - warmInstr
-	res.HugePages = proc.HugePages()
-	res.AnchorDistance = proc.AnchorDistance()
-	res.DistanceChanges = proc.DistanceChanges()
-
-	stats.EntryShootdowns = proc.EntryShootdowns()
-	stats.FullFlushes = proc.FullFlushes()
-	stats.DistanceChanges = proc.DistanceChanges()
-	return res, stats, nil
+// finish returns the run's churn statistics, with the OS work proc
+// accounted.
+func (c *churner) finish(proc *osmem.Process) ChurnStats {
+	s := c.stats
+	s.EntryShootdowns = proc.EntryShootdowns()
+	s.FullFlushes = proc.FullFlushes()
+	s.DistanceChanges = proc.DistanceChanges()
+	return s
 }

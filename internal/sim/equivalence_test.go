@@ -44,7 +44,7 @@ func equivCfg(t testing.TB, scheme mmu.Scheme, scenario mapping.Scenario, wl str
 func TestBatchedSerialEquivalence(t *testing.T) {
 	check := func(t *testing.T, cfg Config) {
 		t.Helper()
-		serial, err := run(cfg, Generated, driveSerial)
+		serial, _, err := run(cfg, Generated, nil, driveSerial)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,19 +116,19 @@ func (s *shardedSource) ReadBatch(dst []trace.Record) int {
 // carry across short reads exactly as they carry across full batches.
 func TestShardSerialEquivalence(t *testing.T) {
 	for _, shards := range []uint64{2, 4, 8} {
-		driveShards := func(m mmu.MMU, proc *osmem.Process, src trace.Source, cfg Config, res *Result) {
+		driveShards := func(m mmu.MMU, proc *osmem.Process, src trace.Source, cfg Config, churn *churner, res *Result) error {
 			size := (cfg.WarmupAccesses + cfg.Accesses + shards - 1) / shards
-			drive(m, proc, &shardedSource{src: trace.Batched(src), size: size}, cfg, res)
+			return drive(m, proc, &shardedSource{src: trace.Batched(src), size: size}, cfg, churn, res)
 		}
 		for _, scheme := range mmu.All() {
 			for _, scenario := range mapping.All() {
 				t.Run(fmt.Sprintf("k%d/%s/%s", shards, scheme, scenario), func(t *testing.T) {
 					cfg := equivCfg(t, scheme, scenario, "mcf")
-					serial, err := run(cfg, Generated, driveSerial)
+					serial, _, err := run(cfg, Generated, nil, driveSerial)
 					if err != nil {
 						t.Fatal(err)
 					}
-					sharded, err := run(cfg, Generated, driveShards)
+					sharded, _, err := run(cfg, Generated, nil, driveShards)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -148,7 +148,7 @@ func TestBatchedSerialEquivalenceMultiRegion(t *testing.T) {
 		t.Run(scenario.String(), func(t *testing.T) {
 			cfg := equivCfg(t, mmu.Anchor, scenario, "mcf")
 			cfg.MultiRegionAnchors = true
-			serial, err := run(cfg, Generated, driveSerial)
+			serial, _, err := run(cfg, Generated, nil, driveSerial)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -260,7 +260,7 @@ func TestProbeEquivalence(t *testing.T) {
 			var serialSamples, batchedSamples []ProbeSample
 			cfg := base
 			cfg.Probe = func(s ProbeSample) { serialSamples = append(serialSamples, s) }
-			serial, err := run(cfg, Generated, driveSerial)
+			serial, _, err := run(cfg, Generated, nil, driveSerial)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -297,7 +297,7 @@ func TestWarmupOnBatchBoundary(t *testing.T) {
 			cfg := equivCfg(t, mmu.Anchor, mapping.Medium, "gups")
 			cfg.Accesses = total
 			cfg.WarmupAccesses = warm
-			serial, err := run(cfg, Generated, driveSerial)
+			serial, _, err := run(cfg, Generated, nil, driveSerial)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -309,5 +309,105 @@ func TestWarmupOnBatchBoundary(t *testing.T) {
 				t.Errorf("warmup=%d diverged:\nserial:  %+v\nbatched: %+v", warm, serial, batched)
 			}
 		})
+	}
+}
+
+// warmupInstructions is the instructions cfg's trace retires through its
+// last warmup record.
+func warmupInstructions(t testing.TB, cfg Config) uint64 {
+	t.Helper()
+	cfg = cfg.withDefaults()
+	cl, err := MappingOf(cfg).Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var n uint64
+	for _, rec := range trace.Collect(TraceOf(cfg, cl[0].StartVPN).Generate(), cfg.WarmupAccesses) {
+		n += uint64(rec.Instrs)
+	}
+	return n
+}
+
+// mappingSpan is the virtual span of cfg's mapping, the span churn
+// remaps within.
+func mappingSpan(t testing.TB, cfg Config) uint64 {
+	t.Helper()
+	cl, err := MappingOf(cfg).Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return uint64(cl[len(cl)-1].EndVPN() - cl[0].StartVPN)
+}
+
+// TestBatchedSerialEquivalenceChurn holds churn runs on the batched drive
+// to driveSerial with the same churn step, for the four schemes the churn
+// experiment runs, with a probe attached to both. The corners are where a
+// churn boundary meets the others: the first churn op lands on the
+// warmup boundary; churn and epoch cross on the same records; warmup,
+// churn and epoch all fall on one record; single records retire more
+// instructions than the whole interval; and the span is no larger than
+// one region, so every op is a no-op that must leave the run equal to a
+// run without churn.
+func TestBatchedSerialEquivalenceChurn(t *testing.T) {
+	for _, scheme := range []mmu.Scheme{mmu.THP, mmu.Cluster2M, mmu.RMM, mmu.Anchor} {
+		base := equivCfg(t, scheme, mapping.Medium, "mcf")
+		warm := warmupInstructions(t, base)
+		corners := []struct {
+			name                   string
+			interval, pages, epoch uint64
+			accesses               uint64
+		}{
+			{"warmup-boundary", warm, 64, 0, 0},
+			{"with-epoch", base.EpochInstructions, 64, 0, 0},
+			{"warmup-epoch-churn", warm, 64, warm, 0},
+			// mcf retires 1 to 7 instructions per access.
+			{"record-crosses-interval", 4, 16, 301, 200},
+			{"span-at-most-pages", 700, mappingSpan(t, base), 0, 0},
+		}
+		for _, c := range corners {
+			t.Run(fmt.Sprintf("%s/%s", scheme, c.name), func(t *testing.T) {
+				cfg := ChurnConfig{Config: base, ChurnIntervalInstructions: c.interval, ChurnPages: c.pages}
+				if c.epoch != 0 {
+					cfg.EpochInstructions = c.epoch
+				}
+				if c.accesses != 0 {
+					cfg.Accesses, cfg.WarmupAccesses = c.accesses, 0
+				}
+				var serialSamples, batchedSamples []ProbeSample
+				cfg.Probe = func(s ProbeSample) { serialSamples = append(serialSamples, s) }
+				serial, serialChurn, err := run(cfg.Config, Generated, &cfg, driveSerial)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Probe = func(s ProbeSample) { batchedSamples = append(batchedSamples, s) }
+				batched, batchedChurn, err := RunWithChurn(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(serial, batched) || serialChurn != batchedChurn {
+					t.Errorf("batched churn run diverged from serial:\nserial:  %+v %+v\nbatched: %+v %+v",
+						serial, serialChurn, batched, batchedChurn)
+				}
+				if len(serialSamples) == 0 || !reflect.DeepEqual(serialSamples, batchedSamples) {
+					t.Errorf("probe samples diverged or never fired: %d serial, %d batched", len(serialSamples), len(batchedSamples))
+				}
+				if batched.AnchorActions != nil {
+					t.Errorf("churn result carries anchor actions %v", batched.AnchorActions)
+				}
+				if c.pages < mappingSpan(t, base) {
+					if batchedChurn.Operations == 0 {
+						t.Fatal("no churn operation fired")
+					}
+					return
+				}
+				plain, err := Run(cfg.Config)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if batchedChurn.Operations != 0 || batched.Stats != plain.Stats || batched.Instructions != plain.Instructions {
+					t.Errorf("no-op churn changed the run: %d ops, stats %+v, want %+v", batchedChurn.Operations, batched.Stats, plain.Stats)
+				}
+			})
+		}
 	}
 }

@@ -8,6 +8,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"hybridtlb/internal/core"
 	"hybridtlb/internal/mapping"
@@ -279,25 +280,34 @@ func (r Result) L2Breakdown() (regular, coalesced, miss float64) {
 		float64(r.Stats.Misses()) * inv
 }
 
-// driveFunc pushes a trace through an MMU; drive is the production
-// batched implementation, driveSerial the record-at-a-time reference the
+// driveFunc pushes a trace through an MMU, performing churn's
+// operations when churn is non-nil; drive is the production batched
+// implementation, driveSerial the record-at-a-time reference the
 // equivalence suite compares it against.
-type driveFunc func(m mmu.MMU, proc *osmem.Process, src trace.Source, cfg Config, res *Result)
+type driveFunc func(m mmu.MMU, proc *osmem.Process, src trace.Source, cfg Config, churn *churner, res *Result) error
 
 // Run executes one simulation.
 func Run(cfg Config) (Result, error) { return RunFrom(cfg, Generated) }
 
 // RunFrom is Run with the mapping and the trace drawn from in.
 func RunFrom(cfg Config, in Inputs) (Result, error) {
-	return run(cfg, in, drive)
+	res, _, err := run(cfg, in, nil, drive)
+	return res, err
 }
 
-func run(cfg Config, in Inputs, driveFn driveFunc) (Result, error) {
+// run executes one simulation through driveFn. A non-nil churn remaps
+// parts of the footprint while the workload runs (see RunWithChurn);
+// such runs model neither the detailed walk nor multi-region anchors and
+// report no anchor actions.
+func run(cfg Config, in Inputs, churn *ChurnConfig, driveFn driveFunc) (Result, ChurnStats, error) {
 	cfg = cfg.withDefaults()
+	if churn != nil {
+		cfg.DetailedWalk, cfg.MultiRegionAnchors = false, false
+	}
 
 	cl, err := in.Mapping(MappingOf(cfg))
 	if err != nil {
-		return Result{}, fmt.Errorf("sim: generating mapping: %w", err)
+		return Result{}, ChurnStats{}, fmt.Errorf("sim: generating mapping: %w", err)
 	}
 
 	if cfg.DetailedWalk {
@@ -308,10 +318,10 @@ func run(cfg Config, in Inputs, driveFn driveFunc) (Result, error) {
 	proc := osmem.NewProcess(pol)
 	if cfg.MultiRegionAnchors {
 		if err := proc.InstallChunksRegions(cl, 0); err != nil {
-			return Result{}, fmt.Errorf("sim: installing multi-region mapping: %w", err)
+			return Result{}, ChurnStats{}, fmt.Errorf("sim: installing multi-region mapping: %w", err)
 		}
 	} else if err := proc.InstallChunks(cl, cfg.FixedDistance); err != nil {
-		return Result{}, fmt.Errorf("sim: installing mapping: %w", err)
+		return Result{}, ChurnStats{}, fmt.Errorf("sim: installing mapping: %w", err)
 	}
 	m := mmu.New(cfg.Scheme, cfg.HW, proc)
 
@@ -323,18 +333,27 @@ func run(cfg Config, in Inputs, driveFn driveFunc) (Result, error) {
 		Scenario: cfg.Scenario,
 		Chunks:   len(cl),
 	}
+	var ch *churner
+	if churn != nil {
+		ch = newChurner(*churn, cl)
+	}
 
-	driveFn(m, proc, src, cfg, &res)
+	if err := driveFn(m, proc, src, cfg, ch, &res); err != nil {
+		return Result{}, ChurnStats{}, err
+	}
 
 	res.HugePages = proc.HugePages()
 	res.AnchorDistance = proc.AnchorDistance()
 	res.DistanceChanges = proc.DistanceChanges()
+	if ch != nil {
+		return res, ch.finish(proc), nil
+	}
 	if am, ok := m.(interface {
 		Actions() map[core.L2Action]uint64
 	}); ok {
 		res.AnchorActions = am.Actions()
 	}
-	return res, nil
+	return res, ChurnStats{}, nil
 }
 
 // batchRecords is the drive loop's batch size: large enough to amortize
@@ -343,30 +362,44 @@ func run(cfg Config, in Inputs, driveFn driveFunc) (Result, error) {
 const batchRecords = 4096
 
 // drive pushes the trace through the MMU in batches, resetting counters
-// after warmup and running the periodic distance re-selection. Each batch
-// is sliced into segments that stop exactly where the per-record loop
-// would act — at the warmup boundary (counted in accesses) and at each
-// epoch boundary (counted in instructions) — so the per-access warmup
-// countdown and epoch check live here, at segment granularity, instead of
-// inside the translation inner loop. Results are byte-identical to
-// driveSerial: the equivalence suite holds the two paths together.
-func drive(m mmu.MMU, proc *osmem.Process, src trace.Source, cfg Config, res *Result) {
+// after warmup, performing churn operations and running the periodic
+// distance re-selection. Each batch is sliced into segments that stop
+// exactly where the per-record loop would act — at the warmup boundary
+// (counted in accesses) and at each churn and epoch boundary (counted in
+// instructions) — so the per-access warmup countdown and the churn and
+// epoch checks live here, at segment granularity, instead of inside the
+// translation inner loop. Results are byte-identical to driveSerial: the
+// equivalence suite holds the two paths together.
+//
+// A streamed trace longer than one batch is read one batch ahead on a
+// producer goroutine (trace.ReadAhead), so generating or decoding the
+// next batch overlaps translating this one; records already in memory
+// are read directly. Every buffer holds one batch: batchRecords records,
+// or the whole run when it is shorter.
+func drive(m mmu.MMU, proc *osmem.Process, src trace.Source, cfg Config, churn *churner, res *Result) error {
 	anchors := cfg.Scheme.Policy().Anchors
 	dynamic := anchors && cfg.FixedDistance == 0
 	trackEpochs := dynamic || cfg.Probe != nil
+
+	total := cfg.WarmupAccesses + cfg.Accesses
+	batch := int(min(batchRecords, total))
 	bs := trace.Batched(src)
+	if total > batchRecords && !trace.InMemory(src) {
+		ra := trace.NewReadAhead(bs, batch)
+		defer ra.Close()
+		bs = ra
+	}
+	recs := make([]trace.Record, batch)
+	vpns := make([]mem.VPN, batch)
 
-	recs := make([]trace.Record, batchRecords)
-	vpns := make([]mem.VPN, batchRecords)
-
-	var instructions, sinceEpoch uint64
+	var instructions, sinceEpoch, sinceChurn uint64
 	warmLeft := cfg.WarmupAccesses
 	var warmStats mmu.Stats
 	var warmInstr uint64
 	epoch := 0
 
-	// The batch loop is the per-access path: setup above (the two
-	// batchRecords-sized buffers) is the only allocation the drive makes.
+	// The batch loop is the per-access path: setup above (the batch
+	// buffers and any read-ahead) is the only allocation the drive makes.
 	//tlbvet:hotpath
 	for {
 		n := bs.ReadBatch(recs)
@@ -378,32 +411,30 @@ func drive(m mmu.MMU, proc *osmem.Process, src trace.Source, cfg Config, res *Re
 		}
 		for start := 0; start < n; {
 			// The segment ends at the batch end, the warmup boundary, or
-			// the first record that crosses the epoch threshold —
-			// whichever comes first. The serial loop checks warmup before
-			// the epoch on each record, and both after translating it;
-			// applying the warmup snapshot first below preserves that
-			// order when one record is both boundaries.
+			// the first record that reaches the churn interval or the
+			// epoch — whichever comes first. The serial loop acts on each
+			// record after translating it, in the order warmup, churn,
+			// epoch; acting in that order below preserves it when one
+			// record is several boundaries.
 			end := n
 			if warmLeft > 0 && uint64(end-start) > warmLeft {
 				end = start + int(warmLeft)
 			}
-			var segInstrs uint64
-			epochCrossed := false
+			// Both counters reset on every crossing, so each budget is at
+			// least one; an untracked boundary never runs out.
+			budget := uint64(math.MaxUint64)
 			if trackEpochs {
-				// sinceEpoch < EpochInstructions holds here (it resets on
-				// every crossing), so the budget is at least one.
-				budget := cfg.EpochInstructions - sinceEpoch
-				for i := start; i < end; i++ {
-					segInstrs += uint64(recs[i].Instrs)
-					if segInstrs >= budget {
-						end = i + 1
-						epochCrossed = true
-						break
-					}
-				}
-			} else {
-				for i := start; i < end; i++ {
-					segInstrs += uint64(recs[i].Instrs)
+				budget = cfg.EpochInstructions - sinceEpoch
+			}
+			if churn != nil {
+				budget = min(budget, churn.interval-sinceChurn)
+			}
+			var segInstrs uint64
+			for i := start; i < end; i++ {
+				segInstrs += uint64(recs[i].Instrs)
+				if segInstrs >= budget {
+					end = i + 1
+					break
 				}
 			}
 
@@ -417,7 +448,15 @@ func drive(m mmu.MMU, proc *osmem.Process, src trace.Source, cfg Config, res *Re
 					warmInstr = instructions
 				}
 			}
-			if epochCrossed {
+			if churn != nil && sinceChurn+segInstrs >= churn.interval {
+				sinceChurn = 0
+				if err := churn.op(proc); err != nil {
+					return err
+				}
+			} else {
+				sinceChurn += segInstrs
+			}
+			if trackEpochs && sinceEpoch+segInstrs >= cfg.EpochInstructions {
 				sinceEpoch = 0
 				if dynamic {
 					proc.Reselect(cfg.SweepCost)
@@ -443,15 +482,16 @@ func drive(m mmu.MMU, proc *osmem.Process, src trace.Source, cfg Config, res *Re
 	}
 	res.Stats = subStats(m.Stats(), warmStats)
 	res.Instructions = instructions - warmInstr
+	return nil
 }
 
 // driveSerial is the original record-at-a-time loop, kept as the golden
 // reference: the batched drive above must produce byte-identical results.
 // Only the equivalence tests call it.
-func driveSerial(m mmu.MMU, proc *osmem.Process, src trace.Source, cfg Config, res *Result) {
+func driveSerial(m mmu.MMU, proc *osmem.Process, src trace.Source, cfg Config, churn *churner, res *Result) error {
 	anchors := cfg.Scheme.Policy().Anchors
 	dynamic := anchors && cfg.FixedDistance == 0
-	var instructions, sinceEpoch uint64
+	var instructions, sinceEpoch, sinceChurn uint64
 	var warmLeft = cfg.WarmupAccesses
 	var warmStats mmu.Stats
 	var warmInstr uint64
@@ -465,12 +505,19 @@ func driveSerial(m mmu.MMU, proc *osmem.Process, src trace.Source, cfg Config, r
 		m.Translate(rec.VPN)
 		instructions += uint64(rec.Instrs)
 		sinceEpoch += uint64(rec.Instrs)
+		sinceChurn += uint64(rec.Instrs)
 
 		if warmLeft > 0 {
 			warmLeft--
 			if warmLeft == 0 {
 				warmStats = m.Stats()
 				warmInstr = instructions
+			}
+		}
+		if churn != nil && sinceChurn >= churn.interval {
+			sinceChurn = 0
+			if err := churn.op(proc); err != nil {
+				return err
 			}
 		}
 		if (dynamic || cfg.Probe != nil) && sinceEpoch >= cfg.EpochInstructions {
@@ -495,6 +542,7 @@ func driveSerial(m mmu.MMU, proc *osmem.Process, src trace.Source, cfg Config, r
 	}
 	res.Stats = subStats(m.Stats(), warmStats)
 	res.Instructions = instructions - warmInstr
+	return nil
 }
 
 func subStats(a, b mmu.Stats) mmu.Stats {

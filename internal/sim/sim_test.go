@@ -320,7 +320,7 @@ func TestRunTraceReplayMatchesGenerated(t *testing.T) {
 
 func TestRunTraceUnbounded(t *testing.T) {
 	cfg := smallCfg(mmu.Base, "gups", mapping.Low)
-	cfg.Accesses = 0 // replay everything
+	cfg.Accesses = 0 // the default: 1,000,000 after 100,000 of warmup
 	recs := make([]trace.Record, 1000)
 	for i := range recs {
 		recs[i] = trace.Record{VPN: mapping.DefaultBaseVPN + mem.VPN(i%100), Instrs: 4}
@@ -329,7 +329,8 @@ func TestRunTraceUnbounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// WarmupAccesses defaults to Accesses/10 = 0 here, so all 1000 count.
+	// The trace ends inside warmup, so no warmup snapshot is taken and
+	// all 1000 accesses count.
 	if res.Stats.Accesses != 1000 {
 		t.Errorf("accesses = %d", res.Stats.Accesses)
 	}
