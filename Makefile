@@ -59,7 +59,9 @@ bench-json:
 
 # bench-baseline reruns the hot-path benchmark and fails if any
 # (scheme, variant) cell regressed more than 10% in ns/access against
-# the committed BENCH_pipeline.json. Writes nothing; CI's perf gate.
+# the BENCH_pipeline.json in the working tree. Writes nothing. CI runs
+# it after bench-json has rewritten that file, so there it compares the
+# code with itself and gates nothing (DESIGN.md §5f).
 bench-baseline:
 	$(GO) test -run xxx -bench BenchmarkTranslateHotPath -benchmem -benchtime $(BENCHTIME) . \
 		| $(GO) run ./cmd/benchjson -out "" -baseline BENCH_pipeline.json

@@ -1,6 +1,7 @@
 package hybridtlb
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"reflect"
@@ -8,6 +9,7 @@ import (
 
 	"hybridtlb/internal/mem"
 	"hybridtlb/internal/mmu"
+	"hybridtlb/internal/trace"
 )
 
 // osWriteFile is a test shim (kept local so the test file reads cleanly).
@@ -489,6 +491,36 @@ func TestSimulateTraceReplay(t *testing.T) {
 	}
 	if _, err := Simulate(cfg); err == nil {
 		t.Fatal("bogus trace file accepted")
+	}
+	// A 50-record trace ends inside the 100-access warmup: an error, not
+	// a measurement of cold-TLB warmup accesses. Cut inside its last
+	// record, it reports the decode error instead.
+	var buf bytes.Buffer
+	w, err := trace.NewWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		if err := w.Write(trace.Record{VPN: mem.VPN(i), Instrs: 4}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		data []byte
+		want string
+	}{
+		{buf.Bytes(), "sim: trace ended after 50 records, inside the 100-record warmup"},
+		{buf.Bytes()[:buf.Len()-1], "trace: truncated record: EOF"},
+	} {
+		if err := osWriteFile(path, c.data); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Simulate(cfg); err == nil || err.Error() != c.want {
+			t.Errorf("Simulate over a %d-byte trace: err = %v, want %q", len(c.data), err, c.want)
+		}
 	}
 }
 

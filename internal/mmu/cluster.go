@@ -58,9 +58,7 @@ func (m *clusterMMU) Invalidate(vpn mem.VPN) {
 	invalidateL2Regular(m.regular, vpn)
 	block := vpn.AlignDown(clusterBlock)
 	set := int((uint64(vpn) / clusterBlock) & m.cluster.SetMask())
-	m.cluster.InvalidateWhere(set, func(e tlb.Entry) bool {
-		return e.Kind == tlb.KindCluster && e.VPNBase == block
-	})
+	m.cluster.InvalidateCluster(set, block)
 }
 
 // probeCluster looks vpn up in a cluster-entry cache: the block tag must
@@ -72,9 +70,7 @@ func probeCluster(c *tlb.Cache, vpn mem.VPN) (mem.PFN, bool) {
 	block := vpn.AlignDown(clusterBlock)
 	set := int((uint64(vpn) / clusterBlock) & c.SetMask())
 	off := uint(vpn - block)
-	e, ok := c.LookupWhere(set, func(e tlb.Entry) bool {
-		return e.Kind == tlb.KindCluster && e.VPNBase == block && e.Bitmap&(1<<off) != 0
-	})
+	e, ok := c.LookupCluster(set, block, off)
 	if !ok {
 		return 0, false
 	}

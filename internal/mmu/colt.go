@@ -45,9 +45,7 @@ func (m *coltMMU) Invalidate(vpn mem.VPN) {
 	invalidateL2Regular(m.l2, vpn)
 	block := vpn.AlignDown(clusterBlock)
 	set := int((uint64(vpn) / clusterBlock) & m.l2.SetMask())
-	m.l2.InvalidateWhere(set, func(e tlb.Entry) bool {
-		return e.Kind == tlb.KindCluster && e.VPNBase == block
-	})
+	m.l2.InvalidateCluster(set, block)
 }
 
 func (m *coltMMU) Translate(vpn mem.VPN) AccessResult {

@@ -8,8 +8,8 @@ import "hybridtlb/internal/trace"
 // methodology uses. The config's Workload supplies only the footprint
 // default. The replay is bounded at WarmupAccesses+Accesses records, so
 // Accesses 0 replays at most the default 1,000,000 measured accesses, as
-// in Run; a shorter trace ends the replay early. A replay installs no
-// multi-region anchors.
+// in Run; a shorter trace ends the replay early, and one that ends inside
+// the warmup is an error. A replay installs no multi-region anchors.
 func RunTrace(cfg Config, src trace.Source) (Result, error) {
 	return runTrace(cfg, src, drive)
 }

@@ -480,9 +480,20 @@ func drive(m mmu.MMU, proc *osmem.Process, src trace.Source, cfg Config, churn *
 			start = end
 		}
 	}
+	if warmLeft > 0 {
+		return warmupCut(cfg, warmLeft)
+	}
 	res.Stats = subStats(m.Stats(), warmStats)
 	res.Instructions = instructions - warmInstr
 	return nil
+}
+
+// warmupCut is the error of a trace that ends with warmLeft warmup
+// records still to run: no warmup snapshot was taken, so every count
+// would include cold-TLB warmup accesses.
+func warmupCut(cfg Config, warmLeft uint64) error {
+	return fmt.Errorf("sim: trace ended after %d records, inside the %d-record warmup",
+		cfg.WarmupAccesses-warmLeft, cfg.WarmupAccesses)
 }
 
 // driveSerial is the original record-at-a-time loop, kept as the golden
@@ -539,6 +550,9 @@ func driveSerial(m mmu.MMU, proc *osmem.Process, src trace.Source, cfg Config, c
 				})
 			}
 		}
+	}
+	if warmLeft > 0 {
+		return warmupCut(cfg, warmLeft)
 	}
 	res.Stats = subStats(m.Stats(), warmStats)
 	res.Instructions = instructions - warmInstr

@@ -1,11 +1,12 @@
 package sim
 
 import (
+	"reflect"
+	"runtime"
 	"testing"
 
 	"hybridtlb/internal/core"
 	"hybridtlb/internal/mapping"
-	"hybridtlb/internal/mem"
 	"hybridtlb/internal/mmu"
 	"hybridtlb/internal/trace"
 	"hybridtlb/internal/workload"
@@ -318,23 +319,44 @@ func TestRunTraceReplayMatchesGenerated(t *testing.T) {
 	}
 }
 
+// TestRunTraceUnbounded: with Accesses 0 a replay runs the 100,000-record
+// warmup and then measures up to the default 1,000,000 accesses. A trace
+// that ends inside the warmup is an error from both drives, since no
+// warmup snapshot was taken and every count would be a cold-TLB warmup
+// access; the streamed trace's read-ahead is still joined. A trace that
+// outlasts the warmup is measured from the warmup's end to its own.
 func TestRunTraceUnbounded(t *testing.T) {
 	cfg := smallCfg(mmu.Base, "gups", mapping.Low)
 	cfg.Accesses = 0 // the default: 1,000,000 after 100,000 of warmup
-	recs := make([]trace.Record, 1000)
-	for i := range recs {
-		recs[i] = trace.Record{VPN: mapping.DefaultBaseVPN + mem.VPN(i%100), Instrs: 4}
-	}
-	res, err := RunTrace(cfg, trace.NewSliceSource(recs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The trace ends inside warmup, so no warmup snapshot is taken and
-	// all 1000 accesses count.
-	if res.Stats.Accesses != 1000 {
-		t.Errorf("accesses = %d", res.Stats.Accesses)
-	}
-	if res.Stats.Faults != 0 {
-		t.Errorf("faults = %d", res.Stats.Faults)
-	}
+	drives := []struct {
+		name string
+		fn   driveFunc
+	}{{"batched", drive}, {"serial", driveSerial}}
+	t.Run("ends inside warmup", func(t *testing.T) {
+		baseline := runtime.NumGoroutine()
+		for _, d := range drives {
+			_, err := runTrace(cfg, &countingSource{n: 1000}, d.fn)
+			if want := "sim: trace ended after 1000 records, inside the 100000-record warmup"; err == nil || err.Error() != want {
+				t.Errorf("%s drive: err = %v, want %q", d.name, err, want)
+			}
+		}
+		waitGoroutines(t, baseline)
+	})
+	t.Run("outlasts warmup", func(t *testing.T) {
+		var results []Result
+		for _, d := range drives {
+			res, err := runTrace(cfg, &countingSource{n: 150_000}, d.fn)
+			if err != nil {
+				t.Fatalf("%s drive: %v", d.name, err)
+			}
+			if res.Stats.Accesses != 50_000 || res.Stats.Faults != 0 {
+				t.Errorf("%s drive: %d accesses and %d faults measured, want 50000 and 0",
+					d.name, res.Stats.Accesses, res.Stats.Faults)
+			}
+			results = append(results, res)
+		}
+		if !reflect.DeepEqual(results[0], results[1]) {
+			t.Errorf("drives disagree:\nbatched: %+v\nserial:  %+v", results[0], results[1])
+		}
+	})
 }

@@ -15,11 +15,6 @@ type RangeEntry struct {
 	Pages    uint64
 }
 
-// Contains reports whether the range covers vpn.
-func (r RangeEntry) Contains(v mem.VPN) bool {
-	return v >= r.StartVPN && v < r.StartVPN+mem.VPN(r.Pages)
-}
-
 // Translate returns the frame for a VPN inside the range.
 func (r RangeEntry) Translate(v mem.VPN) mem.PFN {
 	return r.StartPFN + mem.PFN(v-r.StartVPN)
@@ -30,16 +25,19 @@ func (r RangeEntry) Translate(v mem.VPN) mem.PFN {
 // paper: 32 entries, fully associative, LRU. Every lookup compares the VPN
 // against all ranges in parallel (in hardware); the full associativity is
 // exactly what limits the entry count.
+//
+// Lines are stored as parallel arrays, like Cache's ways: the lookup scan
+// reads only starts and pages (16 bytes per line, so 32 lines span 8
+// cache lines), and containment is the single unsigned compare
+// uint64(v-start) < pages. An lru of 0 marks an invalid line, which also
+// carries pages 0 so that it can never match; a valid zero-page range
+// holds a line and matches nothing.
 type RangeTLB struct {
-	capacity int
-	lines    []rangeLine
-	clock    uint64
-}
-
-type rangeLine struct {
-	valid bool
-	lru   uint64
-	r     RangeEntry
+	starts []mem.VPN
+	pages  []uint64
+	pfns   []mem.PFN
+	lrus   []uint64
+	clock  uint64
 }
 
 // NewRangeTLB creates a range TLB with the given capacity.
@@ -47,45 +45,55 @@ func NewRangeTLB(capacity int) *RangeTLB {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("tlb: range TLB capacity %d must be positive", capacity))
 	}
-	return &RangeTLB{capacity: capacity, lines: make([]rangeLine, capacity)}
+	return &RangeTLB{
+		starts: make([]mem.VPN, capacity),
+		pages:  make([]uint64, capacity),
+		pfns:   make([]mem.PFN, capacity),
+		lrus:   make([]uint64, capacity),
+	}
 }
 
 // Capacity returns the entry count.
-func (t *RangeTLB) Capacity() int { return t.capacity }
+func (t *RangeTLB) Capacity() int { return len(t.lrus) }
 
-// Lookup finds a range covering vpn, promoting it to MRU.
+// Lookup finds the lowest-index range covering vpn, promoting it to MRU.
+//
+//tlbvet:hotpath
 func (t *RangeTLB) Lookup(v mem.VPN) (RangeEntry, bool) {
-	for i := range t.lines {
-		if t.lines[i].valid && t.lines[i].r.Contains(v) {
+	pages := t.pages[:len(t.starts)]
+	for i, s := range t.starts {
+		if uint64(v-s) < pages[i] {
 			t.clock++
-			t.lines[i].lru = t.clock
-			return t.lines[i].r, true
+			t.lrus[i] = t.clock
+			return RangeEntry{StartVPN: s, StartPFN: t.pfns[i], Pages: pages[i]}, true
 		}
 	}
 	return RangeEntry{}, false
 }
 
-// Insert installs a range, evicting the LRU entry if full. A range with
-// the same StartVPN replaces the old one in place.
+// Insert installs a range. The victim is the valid line with the same
+// StartVPN (replaced in place), else the first invalid line, else the
+// least recently used line. Invalid lines carry lru 0, below every live
+// stamp, so the first minimum of lrus is exactly the last two choices.
+//
+//tlbvet:hotpath
 func (t *RangeTLB) Insert(r RangeEntry) {
+	lrus := t.lrus[:len(t.starts)]
 	victim := 0
-	for i := range t.lines {
-		if t.lines[i].valid && t.lines[i].r.StartVPN == r.StartVPN {
+	for i, s := range t.starts {
+		if s == r.StartVPN && lrus[i] != 0 {
 			victim = i
 			break
 		}
-		if !t.lines[i].valid {
-			if t.lines[victim].valid {
-				victim = i
-			}
-			continue
-		}
-		if t.lines[victim].valid && t.lines[i].lru < t.lines[victim].lru {
+		if lrus[i] < lrus[victim] {
 			victim = i
 		}
 	}
 	t.clock++
-	t.lines[victim] = rangeLine{valid: true, lru: t.clock, r: r}
+	t.starts[victim] = r.StartVPN
+	t.pages[victim] = r.Pages
+	t.pfns[victim] = r.StartPFN
+	lrus[victim] = t.clock
 }
 
 // InvalidateContaining removes every range covering vpn, reporting how
@@ -93,9 +101,10 @@ func (t *RangeTLB) Insert(r RangeEntry) {
 // is split or unmapped).
 func (t *RangeTLB) InvalidateContaining(v mem.VPN) int {
 	n := 0
-	for i := range t.lines {
-		if t.lines[i].valid && t.lines[i].r.Contains(v) {
-			t.lines[i] = rangeLine{}
+	for i, s := range t.starts {
+		if uint64(v-s) < t.pages[i] {
+			t.pages[i] = 0
+			t.lrus[i] = 0
 			n++
 		}
 	}
@@ -104,16 +113,15 @@ func (t *RangeTLB) InvalidateContaining(v mem.VPN) int {
 
 // Flush empties the range TLB.
 func (t *RangeTLB) Flush() {
-	for i := range t.lines {
-		t.lines[i] = rangeLine{}
-	}
+	clear(t.pages)
+	clear(t.lrus)
 }
 
 // Occupancy returns the number of valid ranges.
 func (t *RangeTLB) Occupancy() int {
 	n := 0
-	for i := range t.lines {
-		if t.lines[i].valid {
+	for _, lru := range t.lrus {
+		if lru != 0 {
 			n++
 		}
 	}

@@ -137,18 +137,24 @@ func (c *Cache) Lookup(set int, key uint64) (Entry, bool) {
 	return Entry{}, false
 }
 
-// LookupWhere searches the set for the first valid entry satisfying
-// match, promoting it to MRU on a hit. Schemes whose entries cannot be
-// found by exact key (e.g. cluster entries, where one virtual block may
-// need two entries with different physical bases) probe with this.
-func (c *Cache) LookupWhere(set int, match func(Entry) bool) (Entry, bool) {
+// LookupCluster finds the first valid KindCluster entry of the set whose
+// block base is block and whose bitmap covers offset off (0-7), promoting
+// it to MRU on a hit. One virtual block can hold several cluster entries
+// with different physical bases, so cluster entries are found by block
+// and bitmap rather than by exact key.
+//
+//tlbvet:hotpath
+func (c *Cache) LookupCluster(set int, block mem.VPN, off uint) (Entry, bool) {
 	base := set * c.ways
 	lrus := c.lrus[base : base+c.ways : base+c.ways]
+	entries := c.entries[base : base+c.ways : base+c.ways]
+	bit := uint8(1) << off
 	for i := range lrus {
-		if lrus[i] != 0 && match(c.entries[base+i]) {
+		e := &entries[i]
+		if e.VPNBase == block && e.Kind == KindCluster && e.Bitmap&bit != 0 && lrus[i] != 0 {
 			c.clock++
 			lrus[i] = c.clock
-			return c.entries[base+i], true
+			return *e, true
 		}
 	}
 	return Entry{}, false
@@ -167,11 +173,11 @@ func (c *Cache) Peek(set int, key uint64) (Entry, bool) {
 }
 
 // Insert installs the entry under key, evicting the set's LRU way if
-// necessary. Inserting an existing key overwrites it in place. It returns
-// the evicted entry, if any.
+// necessary. Inserting an existing key overwrites it in place. The
+// evicted entry is overwritten without being read: no caller needs it.
 //
 //tlbvet:hotpath
-func (c *Cache) Insert(set int, key uint64, e Entry) (Entry, bool) {
+func (c *Cache) Insert(set int, key uint64, e Entry) {
 	base := set * c.ways
 	keys := c.keys[base : base+c.ways : base+c.ways]
 	lrus := c.lrus[base : base+c.ways : base+c.ways]
@@ -196,16 +202,10 @@ func (c *Cache) Insert(set int, key uint64, e Entry) (Entry, bool) {
 			victim, vLRU = i, li
 		}
 	}
-	var evicted Entry
-	hadVictim := lrus[victim] != 0 && keys[victim] != key
-	if hadVictim {
-		evicted = c.entries[base+victim]
-	}
 	c.clock++
 	keys[victim] = key
 	lrus[victim] = c.clock
 	c.entries[base+victim] = e
-	return evicted, hadVictim
 }
 
 // InsertNew is Insert for callers that know the key is not in the set —
@@ -214,10 +214,10 @@ func (c *Cache) Insert(set int, key uint64, e Entry) (Entry, bool) {
 // Insert selects when its key-match scan cannot fire, so the two are
 // interchangeable whenever the key is absent. Skipping the match scan
 // keeps the probe loop to one array and lets it stop at the first free
-// way.
+// way. Like Insert, it overwrites the victim without reading it.
 //
 //tlbvet:hotpath
-func (c *Cache) InsertNew(set int, key uint64, e Entry) (Entry, bool) {
+func (c *Cache) InsertNew(set int, key uint64, e Entry) {
 	base := set * c.ways
 	lrus := c.lrus[base : base+c.ways : base+c.ways]
 	victim := 0
@@ -234,16 +234,10 @@ func (c *Cache) InsertNew(set int, key uint64, e Entry) (Entry, bool) {
 			}
 		}
 	}
-	var evicted Entry
-	hadVictim := vLRU != 0
-	if hadVictim {
-		evicted = c.entries[base+victim]
-	}
 	c.clock++
 	c.keys[base+victim] = key
 	lrus[victim] = c.clock
 	c.entries[base+victim] = e
-	return evicted, hadVictim
 }
 
 // Invalidate removes the entry with the given key from the set, reporting
@@ -262,18 +256,19 @@ func (c *Cache) Invalidate(set int, key uint64) bool {
 	return false
 }
 
-// InvalidateWhere removes every entry in the set satisfying match and
-// returns how many were removed (targeted shootdown of coalesced entries
-// that cannot be addressed by exact key).
-func (c *Cache) InvalidateWhere(set int, match func(Entry) bool) int {
+// InvalidateCluster removes every KindCluster entry of the set whose
+// block base is block and returns how many were removed (the targeted
+// shootdown of coalesced entries, which no exact key addresses).
+func (c *Cache) InvalidateCluster(set int, block mem.VPN) int {
 	base := set * c.ways
 	lrus := c.lrus[base : base+c.ways : base+c.ways]
+	entries := c.entries[base : base+c.ways : base+c.ways]
 	n := 0
 	for i := range lrus {
-		if lrus[i] != 0 && match(c.entries[base+i]) {
+		if lrus[i] != 0 && entries[i].Kind == KindCluster && entries[i].VPNBase == block {
 			c.keys[base+i] = 0
 			lrus[i] = 0
-			c.entries[base+i] = Entry{}
+			entries[i] = Entry{}
 			n++
 		}
 	}

@@ -77,10 +77,7 @@ func TestLRUEviction(t *testing.T) {
 	if _, ok := c.Lookup(0, Key(Kind4K, 1)); !ok {
 		t.Fatal("entry 1 missing")
 	}
-	evicted, had := c.Insert(0, Key(Kind4K, 3), Entry{VPNBase: 3})
-	if !had || evicted.VPNBase != 2 {
-		t.Fatalf("evicted %+v (had=%v), want VPNBase 2", evicted, had)
-	}
+	c.Insert(0, Key(Kind4K, 3), Entry{VPNBase: 3})
 	if _, ok := c.Lookup(0, Key(Kind4K, 1)); !ok {
 		t.Error("MRU entry 1 evicted")
 	}
@@ -93,10 +90,7 @@ func TestInsertOverwritesInPlace(t *testing.T) {
 	c := NewCache(1, 4)
 	k := Key(Kind4K, 7)
 	c.Insert(0, k, Entry{PFNBase: 1})
-	evicted, had := c.Insert(0, k, Entry{PFNBase: 2})
-	if had {
-		t.Errorf("overwrite reported eviction of %+v", evicted)
-	}
+	c.Insert(0, k, Entry{PFNBase: 2})
 	got, _ := c.Lookup(0, k)
 	if got.PFNBase != 2 {
 		t.Errorf("PFNBase = %d, want 2", got.PFNBase)
@@ -292,23 +286,21 @@ func BenchmarkRangeTLBLookup(b *testing.B) {
 	}
 }
 
-func TestLookupWhere(t *testing.T) {
+func TestLookupCluster(t *testing.T) {
 	c := NewCache(1, 4)
 	c.Insert(0, Key(KindCluster, 1), Entry{Kind: KindCluster, VPNBase: 8, PFNBase: 100, Bitmap: 0x0F})
 	c.Insert(0, Key(KindCluster, 2), Entry{Kind: KindCluster, VPNBase: 8, PFNBase: 200, Bitmap: 0xF0})
-	c.Insert(0, Key(Kind4K, 3), Entry{Kind: Kind4K, VPNBase: 8})
+	c.Insert(0, Key(Kind4K, 3), Entry{Kind: Kind4K, VPNBase: 8, Bitmap: 0xFF})
 
-	// Two cluster entries share a block; the predicate picks by bitmap.
-	e, ok := c.LookupWhere(0, func(e Entry) bool {
-		return e.Kind == KindCluster && e.VPNBase == 8 && e.Bitmap&(1<<6) != 0
-	})
+	// Two cluster entries share a block; the offset's bitmap bit picks.
+	e, ok := c.LookupCluster(0, 8, 6)
 	if !ok || e.PFNBase != 200 {
-		t.Fatalf("LookupWhere = %+v, %v", e, ok)
+		t.Fatalf("LookupCluster = %+v, %v", e, ok)
 	}
-	if _, ok := c.LookupWhere(0, func(e Entry) bool { return e.VPNBase == 99 }); ok {
-		t.Error("predicate matching nothing hit")
+	if _, ok := c.LookupCluster(0, 99, 0); ok {
+		t.Error("probe of an absent block hit")
 	}
-	// LookupWhere promotes: the matched entry must survive two inserts.
+	// LookupCluster promotes: the matched entry must survive two inserts.
 	c.Insert(0, Key(Kind4K, 4), Entry{})
 	c.Insert(0, Key(Kind4K, 5), Entry{})
 	if _, ok := c.Peek(0, Key(KindCluster, 2)); !ok {
@@ -316,19 +308,19 @@ func TestLookupWhere(t *testing.T) {
 	}
 }
 
-func TestInvalidateWhere(t *testing.T) {
+func TestInvalidateCluster(t *testing.T) {
 	c := NewCache(1, 4)
 	c.Insert(0, Key(KindCluster, 1), Entry{Kind: KindCluster, VPNBase: 8})
 	c.Insert(0, Key(KindCluster, 2), Entry{Kind: KindCluster, VPNBase: 8})
 	c.Insert(0, Key(Kind4K, 3), Entry{Kind: Kind4K, VPNBase: 8})
-	n := c.InvalidateWhere(0, func(e Entry) bool { return e.Kind == KindCluster })
+	n := c.InvalidateCluster(0, 8)
 	if n != 2 {
 		t.Errorf("invalidated %d entries, want 2", n)
 	}
 	if c.Occupancy(nil) != 1 {
 		t.Errorf("occupancy = %d, want 1", c.Occupancy(nil))
 	}
-	if n := c.InvalidateWhere(0, func(Entry) bool { return false }); n != 0 {
+	if n := c.InvalidateCluster(0, 16); n != 0 {
 		t.Errorf("no-match invalidate removed %d", n)
 	}
 }

@@ -217,7 +217,9 @@ func Simulate(cfg SimulationConfig) (SimulationResult, error) {
 		}
 		defer closeSrc()
 		res, err = sim.RunTrace(simCfg, src)
-		if e, ok := src.(interface{ Err() error }); ok && err == nil && e.Err() != nil {
+		// A decode error ends the stream early, so it outranks the
+		// replay's own complaint about a trace ending inside warmup.
+		if e, ok := src.(interface{ Err() error }); ok && e.Err() != nil {
 			err = e.Err()
 		}
 	} else {
