@@ -90,22 +90,22 @@ func (cl ChunkList) Validate() error {
 // CoalesceVirtual merges chunks that are adjacent in both virtual and
 // physical address space. The receiver must be sorted. The result is the
 // minimal chunk list describing the same mapping, which is exactly the
-// chunk structure the OS contiguity histogram is computed from.
+// chunk structure the OS contiguity histogram is computed from. It is
+// merged in place: the result shares the receiver's storage, and the
+// receiver's chunks past the result's length are left as they were.
 func (cl ChunkList) CoalesceVirtual() ChunkList {
 	if len(cl) == 0 {
 		return nil
 	}
-	out := make(ChunkList, 0, len(cl))
-	cur := cl[0]
+	out := cl[:1]
 	for _, c := range cl[1:] {
-		if c.StartVPN == cur.EndVPN() && c.StartPFN == cur.EndPFN() {
+		if cur := &out[len(out)-1]; c.StartVPN == cur.EndVPN() && c.StartPFN == cur.EndPFN() {
 			cur.Pages += c.Pages
 			continue
 		}
-		out = append(out, cur)
-		cur = c
+		out = append(out, c)
 	}
-	return append(out, cur)
+	return out
 }
 
 // Histogram summarizes chunk sizes as (contiguity, frequency) pairs sorted

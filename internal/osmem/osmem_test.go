@@ -1,7 +1,9 @@
 package osmem
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hybridtlb/internal/core"
@@ -772,9 +774,44 @@ func TestInstallRejectsOutOfRangeChunks(t *testing.T) {
 	checkTranslations(t, p)
 }
 
+// TestRejectedInstallLeavesProcessUnchanged: an install refused for its
+// fixed distance or its chunk list leaves the process's chunk list,
+// reference translations, page table and anchor distance as they were,
+// so Translate and the page walk still agree.
+func TestRejectedInstallLeavesProcessUnchanged(t *testing.T) {
+	next := mem.ChunkList{{StartVPN: 0x1000, StartPFN: 0x20000, Pages: 16}}
+	overlapping := append(slices.Clone(next), mem.Chunk{StartVPN: 0x1008, StartPFN: 0x30000, Pages: 16})
+	for _, tc := range []struct {
+		name    string
+		install func(*Process) error
+	}{
+		{"invalid fixed distance", func(p *Process) error { return p.InstallChunks(next, 3) }},
+		{"overlapping chunks", func(p *Process) error { return p.InstallChunks(overlapping, 0) }},
+		{"overlapping chunks, multi-region", func(p *Process) error { return p.InstallChunksRegions(overlapping, 0) }},
+	} {
+		p := NewProcess(Policy{Anchors: true})
+		if err := p.InstallChunks(mem.ChunkList{{StartVPN: 0x1000, StartPFN: 0x8000, Pages: 16}}, 8); err != nil {
+			t.Fatal(err)
+		}
+		pt, chunks := p.PageTable(), slices.Clone(p.Chunks())
+		if err := tc.install(p); err == nil {
+			t.Fatalf("%s: install accepted", tc.name)
+		}
+		if p.PageTable() != pt || !slices.Equal(p.Chunks(), chunks) || p.AnchorDistance() != 8 || p.Regions() != nil {
+			t.Errorf("%s: rejected install changed the process: chunks %v, distance %d, regions %v",
+				tc.name, p.Chunks(), p.AnchorDistance(), p.Regions())
+		}
+		if pfn, ok := p.Translate(0x1000); !ok || pfn != 0x8000 {
+			t.Errorf("%s: Translate(0x1000) = %#x, %t after the rejected install, want 0x8000", tc.name, uint64(pfn), ok)
+		}
+		checkTranslations(t, p)
+	}
+}
+
 // TestInstallAllocations pins the install path's allocations: a mapping
 // of thousands of small chunks allocates once per slab of leaf tables,
-// not once per chunk or per leaf table.
+// not once per chunk or per leaf table, and an install drawing on a leaf
+// list that holds enough slabs allocates no slab.
 func TestInstallAllocations(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	var cl mem.ChunkList
@@ -802,6 +839,22 @@ func TestInstallAllocations(t *testing.T) {
 		if want := leaves/32 + 1 + fixed; allocs > want {
 			t.Errorf("%+v: installing %d chunks over %.0f leaf tables made %.0f allocations, want at most %.0f",
 				pol, len(cl), leaves, allocs, want)
+		}
+
+		// Each run releases its table, so the list holds the slabs of
+		// the one before (AllocsPerRun runs once more first).
+		l := new(pagetable.Leaves)
+		reused := testing.AllocsPerRun(3, func() {
+			p := NewProcessOn(pol, l)
+			if err := p.InstallChunks(cl, 0); err != nil {
+				t.Fatal(err)
+			}
+			p.PageTable().Release()
+		})
+		t.Logf("%+v: drawing on a leaf list: %.0f allocations", pol, reused)
+		if slabs := math.Ceil(leaves / 32); reused > allocs-slabs {
+			t.Errorf("%+v: an install drawing on a full leaf list made %.0f allocations, want at most %.0f (the %.0f slabs fewer)",
+				pol, reused, allocs-slabs, slabs)
 		}
 	}
 }

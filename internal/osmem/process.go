@@ -2,6 +2,7 @@ package osmem
 
 import (
 	"fmt"
+	"slices"
 
 	"hybridtlb/internal/core"
 	"hybridtlb/internal/mem"
@@ -16,6 +17,9 @@ type Process struct {
 	chunks mem.ChunkList
 	policy Policy
 	dist   uint64
+	// leaves is the free list every table of the process draws its leaf
+	// tables from, or nil.
+	leaves *pagetable.Leaves
 
 	// huge records the base VPNs of promoted 2 MiB pages so unmaps can
 	// demote them.
@@ -41,11 +45,18 @@ type Process struct {
 
 // NewProcess creates a process with the given policy. The anchor distance
 // starts at the minimum and is set by InstallChunks or SetDistance.
-func NewProcess(pol Policy) *Process {
+func NewProcess(pol Policy) *Process { return NewProcessOn(pol, nil) }
+
+// NewProcessOn is NewProcess with page tables drawing their leaf tables
+// from leaves (see pagetable.NewOn); nil allocates them. Whoever owns
+// leaves hands the memory back with PageTable().Release once the process
+// is done.
+func NewProcessOn(pol Policy, leaves *pagetable.Leaves) *Process {
 	return &Process{
-		pt:     pagetable.New(),
+		pt:     pagetable.NewOn(leaves),
 		policy: pol,
 		dist:   core.MinDistance,
+		leaves: leaves,
 		huge:   make(map[mem.VPN]mem.PFN),
 	}
 }
@@ -109,36 +120,51 @@ func (p *Process) shootdown(vpn mem.VPN) {
 // it coalesces and validates the list, selects the anchor distance from
 // the contiguity histogram when the policy uses anchors (unless a
 // non-zero fixedDistance pins it, for the static-ideal configuration),
-// rebuilds the page table, and flushes TLBs.
+// rebuilds the page table, and flushes TLBs. A rejected list or distance
+// leaves the process as it was.
 func (p *Process) InstallChunks(cl mem.ChunkList, fixedDistance uint64) error {
-	sorted := append(mem.ChunkList(nil), cl...)
-	sorted.Sort()
-	sorted = sorted.CoalesceVirtual()
-	if err := validateChunks(sorted); err != nil {
+	if p.policy.Anchors && fixedDistance != 0 && !core.ValidDistance(fixedDistance) {
+		return fmt.Errorf("osmem: invalid fixed anchor distance %d", fixedDistance)
+	}
+	sorted, err := installable(cl)
+	if err != nil {
 		return err
 	}
-	p.chunks = sorted
-
 	if p.policy.Anchors {
-		switch {
-		case fixedDistance != 0 && !core.ValidDistance(fixedDistance):
-			return fmt.Errorf("osmem: invalid fixed anchor distance %d", fixedDistance)
-		case fixedDistance != 0:
-			p.dist = fixedDistance
-		default:
+		p.dist = fixedDistance
+		if p.dist == 0 {
 			p.dist, _ = core.SelectDistanceModel(mem.BuildHistogram(sorted), p.policy.Cost)
 		}
 	}
-
-	p.pt = pagetable.New()
-	p.huge = make(map[mem.VPN]mem.PFN)
 	p.regions = nil
+	p.install(sorted)
+	return nil
+}
+
+// installable returns a sorted and coalesced copy of cl, or the reason
+// the page table cannot hold it: the one copy an install makes.
+func installable(cl mem.ChunkList) (mem.ChunkList, error) {
+	sorted := slices.Clone(cl)
+	sorted.Sort()
+	sorted = sorted.CoalesceVirtual()
+	if err := validateChunks(sorted); err != nil {
+		return nil, err
+	}
+	return sorted, nil
+}
+
+// install makes the installable list cl the mapping: it rebuilds the
+// page table, each chunk at the anchor distance governing it, and
+// flushes TLBs.
+func (p *Process) install(cl mem.ChunkList) {
+	p.chunks = cl
+	p.pt = pagetable.NewOn(p.leaves)
+	p.huge = make(map[mem.VPN]mem.PFN)
 	p.prots = nil
-	for _, c := range sorted {
-		p.installChunkAt(c, p.dist)
+	for _, c := range cl {
+		p.installChunkAt(c, p.distanceForChunk(c))
 	}
 	p.flushTLBs()
-	return nil
 }
 
 // lastVPN is the last page of the 48-bit virtual address space the
@@ -186,22 +212,13 @@ func (p *Process) installChunkAt(c mem.Chunk, dist uint64) {
 				}
 				p.huge[vpn] = pfn
 			}
-		case Seg4K, SegAnchored:
+		case Seg4K:
 			p.pt.MapRange4K(s.StartVPN, s.StartPFN, s.Pages, pagetable.FlagWrite|pagetable.FlagUser)
-			if s.Kind == SegAnchored {
-				p.writeAnchors(s, c, dist)
-			}
+		case SegAnchored:
+			// The segment always ends at its chunk's end, so the physical
+			// run from each anchor extends to the segment's end.
+			p.pt.MapRange4KAnchored(s.StartVPN, s.StartPFN, s.Pages, pagetable.FlagWrite|pagetable.FlagUser, dist)
 		}
-	}
-}
-
-// writeAnchors records contiguity at every distance-aligned VPN of an
-// anchored segment. The segment always ends at its chunk's end, so the
-// physical run from each anchor extends to the chunk end.
-func (p *Process) writeAnchors(s Segment, c mem.Chunk, dist uint64) {
-	for avpn := s.StartVPN.AlignUp(dist); avpn < s.EndVPN(); avpn += mem.VPN(dist) {
-		run := uint64(c.EndVPN() - avpn)
-		p.pt.SetAnchorContiguity(avpn, dist, run)
 	}
 }
 

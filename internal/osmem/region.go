@@ -6,7 +6,6 @@ import (
 
 	"hybridtlb/internal/core"
 	"hybridtlb/internal/mem"
-	"hybridtlb/internal/pagetable"
 )
 
 // This file implements the paper's Section 4.2 future-work extension:
@@ -112,22 +111,12 @@ func (p *Process) InstallChunksRegions(cl mem.ChunkList, maxRegions int) error {
 	if maxRegions <= 0 || maxRegions > MaxHWRegions {
 		maxRegions = MaxHWRegions
 	}
-	sorted := append(mem.ChunkList(nil), cl...)
-	sorted.Sort()
-	sorted = sorted.CoalesceVirtual()
-	if err := validateChunks(sorted); err != nil {
+	sorted, err := installable(cl)
+	if err != nil {
 		return err
 	}
-	p.chunks = sorted
 	p.regions = PartitionRegionsModel(sorted, maxRegions, p.policy.Cost)
-
-	p.pt = pagetable.New()
-	p.huge = make(map[mem.VPN]mem.PFN)
-	p.prots = nil
-	for _, c := range sorted {
-		p.installChunkAt(c, p.distanceForChunk(c))
-	}
-	p.flushTLBs()
+	p.install(sorted)
 	return nil
 }
 

@@ -46,12 +46,17 @@ func contiguityCap(dist uint64) uint64 {
 	return MaxContiguitySingle
 }
 
-// checkAnchorArgs validates the (avpn, dist) pair shared by the anchor
-// accessors.
-func checkAnchorArgs(avpn mem.VPN, dist uint64) {
+// checkDistance panics unless dist is a power of two >= 2.
+func checkDistance(dist uint64) {
 	if !mem.IsPow2(dist) || dist < 2 {
 		panic(fmt.Sprintf("pagetable: anchor distance %d is not a power of two >= 2", dist))
 	}
+}
+
+// checkAnchorArgs validates the (avpn, dist) pair shared by the anchor
+// accessors.
+func checkAnchorArgs(avpn mem.VPN, dist uint64) {
+	checkDistance(dist)
 	if !avpn.IsAligned(dist) {
 		panic(fmt.Sprintf("pagetable: VPN %#x is not aligned to anchor distance %d", uint64(avpn), dist))
 	}
@@ -70,11 +75,26 @@ func (t *Table) SetAnchorContiguity(avpn mem.VPN, dist, contiguity uint64) int {
 	if lf == nil {
 		return 0
 	}
-	if cap := contiguityCap(dist); contiguity > cap {
-		contiguity = cap
+	writes := setAnchor(lf, indexAt(avpn, LevelPT), dist, min(contiguity, contiguityCap(dist)))
+	t.stats.PTEWrites += writes
+	return int(writes)
+}
+
+// writeAnchors records in lf the contiguity of every dist-aligned page
+// of [from, to), a stretch of lf's pages: the run from that page to end,
+// capped at the encoding's capacity. It returns the entries written.
+func writeAnchors(lf *leaf, from, to, end mem.VPN, dist uint64) uint64 {
+	limit := contiguityCap(dist)
+	var writes uint64
+	for avpn := from.AlignUp(dist); avpn < to; avpn += mem.VPN(dist) {
+		writes += setAnchor(lf, indexAt(avpn, LevelPT), dist, min(uint64(end-avpn), limit))
 	}
-	i := indexAt(avpn, LevelPT)
-	writes := 0
+	return writes
+}
+
+// setAnchor encodes contiguity, within the cap for dist, into the anchor
+// at entry i of lf and returns the entries written.
+func setAnchor(lf *leaf, i int, dist, contiguity uint64) uint64 {
 	var low, high uint64
 	if contiguity > 0 {
 		stored := contiguity - 1 // footnote encoding: field holds c-1
@@ -82,15 +102,14 @@ func (t *Table) SetAnchorContiguity(avpn mem.VPN, dist, contiguity uint64) int {
 		high = stored >> anchorPayloadBits
 	}
 	lf[i] = lf[i].WithIgn(low)
-	writes++
-	if dist >= EntriesPerCacheBlock {
-		// Distributed encoding: the next entry of the same cache block
-		// holds the high bits. i is block-aligned, so i+1 is in range.
-		lf[i+1] = lf[i+1].WithIgn(high)
-		writes++
+	if dist < EntriesPerCacheBlock {
+		return 1
 	}
-	t.stats.PTEWrites += uint64(writes)
-	return writes
+	// Distributed encoding: the next entry of the same cache block holds
+	// the high bits, whatever page it maps. i is block-aligned, so i+1 is
+	// in range.
+	lf[i+1] = lf[i+1].WithIgn(high)
+	return 2
 }
 
 // AnchorContiguity reads the contiguity recorded at the anchor avpn for the
@@ -156,9 +175,7 @@ type SweepResult struct {
 // chunks) rather than a page scan. The whole-table TLB invalidation that
 // follows a sweep is the caller's (OS's) responsibility.
 func (t *Table) SweepAnchors(dist uint64, contig func(avpn mem.VPN) uint64) SweepResult {
-	if !mem.IsPow2(dist) || dist < 2 {
-		panic(fmt.Sprintf("pagetable: anchor distance %d is not a power of two >= 2", dist))
-	}
+	checkDistance(dist)
 	var res SweepResult
 	t.Range(func(vpn mem.VPN, e PTE, class mem.PageClass) bool {
 		res.EntriesScanned++

@@ -182,3 +182,102 @@ func TestLeafTableIsPointerFree(t *testing.T) {
 		t.Fatalf("leaf entries are %v, want uint64", k)
 	}
 }
+
+// TestMapRange4KAnchoredMatchesReference: the anchored fill equals
+// MapRange4K followed by SetAnchorContiguity at every dist-aligned page
+// of the range, entry for entry (ignored bits included) and in
+// PTEWrites, at every distance. Random chunk lists are installed in
+// random order, so ranges land in new leaves and in leaves holding
+// another range's entries and anchor halves; some chunks are virtually
+// adjacent, so a distributed anchor's high half lands in the next
+// chunk's first entry, and some outrun both contiguity caps.
+func TestMapRange4KAnchoredMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		var cl mem.ChunkList
+		vpn := mem.VPN(r.Intn(3000))
+		for len(cl) < 120 {
+			pages := uint64(1 + r.Intn(1500))
+			if len(cl) == 60 {
+				pages = MaxContiguity + 1 + uint64(r.Intn(2000))
+			}
+			cl = append(cl, mem.Chunk{StartVPN: vpn, StartPFN: mem.PFN(r.Int63n(1 << 30)), Pages: pages})
+			vpn += mem.VPN(pages) + mem.VPN(r.Intn(3)*r.Intn(700))
+		}
+		r.Shuffle(len(cl), func(i, j int) { cl[i], cl[j] = cl[j], cl[i] })
+		for dist := uint64(2); dist <= MaxContiguity; dist *= 2 {
+			got, want := New(), New()
+			for _, c := range cl {
+				got.MapRange4KAnchored(c.StartVPN, c.StartPFN, c.Pages, FlagWrite|FlagUser, dist)
+				want.MapRange4K(c.StartVPN, c.StartPFN, c.Pages, FlagWrite|FlagUser)
+				for avpn := c.StartVPN.AlignUp(dist); avpn < c.EndVPN(); avpn += mem.VPN(dist) {
+					want.SetAnchorContiguity(avpn, dist, uint64(c.EndVPN()-avpn))
+				}
+			}
+			if !reflect.DeepEqual(DumpTable(got), DumpTable(want)) {
+				t.Fatalf("seed %d, distance %d: the anchored fill's entries differ from the reference's", seed, dist)
+			}
+			if g, w := got.Stats(), want.Stats(); g != w {
+				t.Fatalf("seed %d, distance %d: stats %+v, reference %+v", seed, dist, g, w)
+			}
+		}
+	}
+}
+
+// TestRelease: a released table hands the slabs it carved from back to
+// its list, which then holds no more than that table's slabs, and every
+// later use of the table except Stats panics instead of reading leaves
+// another table may hold by then.
+func TestRelease(t *testing.T) {
+	l := new(Leaves)
+	big := NewOn(l)
+	big.MapRange4K(0, 0x1000, (leafSlab+1)*entriesPerNode, FlagWrite)
+	big.Release()
+	if n := FreeSlabs(l); n != 2 {
+		t.Fatalf("released a table of %d leaves: the list holds %d slabs, want 2", leafSlab+1, n)
+	}
+	unused := NewOn(l)
+	unused.Release()
+	if n := FreeSlabs(l); n != 2 {
+		t.Fatalf("a table that carved no leaf changed the list to %d slabs", n)
+	}
+
+	small := NewOn(l)
+	small.MapRange4K(3*entriesPerNode, 0x1000, 10, FlagWrite)
+	if n := FreeSlabs(l); n != 0 {
+		t.Fatalf("a table carving its first leaf left %d slabs on the list, want it to take them all", n)
+	}
+	stats := small.Stats()
+	small.Release()
+	small.Release()
+	if n := FreeSlabs(l); n != 1 {
+		t.Fatalf("after releasing a one-slab table the list holds %d slabs, want 1", n)
+	}
+	if s := small.Stats(); s != stats {
+		t.Errorf("Stats after Release = %+v, want %+v", s, stats)
+	}
+
+	for name, use := range map[string]func(){
+		"Walk":                func() { small.Walk(3 * entriesPerNode) },
+		"WalkFast":            func() { small.WalkFast(3 * entriesPerNode) },
+		"WalkLines":           func() { small.WalkLines(3 * entriesPerNode) },
+		"LineBitmap":          func() { small.LineBitmap(3*entriesPerNode, 0x1000) },
+		"AnchorContiguity":    func() { small.AnchorContiguity(3*entriesPerNode, 8) },
+		"SetAnchorContiguity": func() { small.SetAnchorContiguity(3*entriesPerNode, 8, 4) },
+		"Range":               func() { small.Range(func(mem.VPN, PTE, mem.PageClass) bool { return true }) },
+		"MapRange4K":          func() { small.MapRange4K(0, 0x1000, 1, FlagWrite) },
+		"Map2M":               func() { _ = small.Map2M(0, 0, FlagWrite) },
+		"Map1G":               func() { _ = small.Map1G(0, 0, FlagWrite) },
+		"Collapse2M":          func() { _ = small.Collapse2M(3*entriesPerNode, 0, FlagWrite) },
+		"Unmap":               func() { small.Unmap(3 * entriesPerNode) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a released table did not panic", name)
+				}
+			}()
+			use()
+		}()
+	}
+}

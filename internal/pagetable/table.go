@@ -67,8 +67,20 @@ type Stats struct {
 // leafSlab is how many leaf tables one allocation holds (128 KiB): a
 // large install allocates once per slab instead of once per leaf. A
 // table wastes at most the unused rest of its last slab, plus any leaf
-// Collapse2M drops, which stays allocated while its slab lives.
+// Collapse2M drops, which stays allocated until the table dies or is
+// released.
 const leafSlab = 32
+
+// Leaves is a free list of leaf-table memory. A table built on it with
+// NewOn draws its slabs from the list, and Release hands them back for
+// the next table to reuse instead of allocating and zeroing fresh ones.
+// The list keeps at most the slab count of the table released last, so
+// it never holds more than one table's leaves. Its slabs are not
+// cleared: each new leaf is written whole when it is first mapped. A
+// Leaves is not safe for concurrent use.
+type Leaves struct {
+	free [][]leaf
+}
 
 // Table is a four-level page table supporting 4 KiB and 2 MiB mappings and
 // the paper's anchor-entry contiguity encoding.
@@ -81,11 +93,34 @@ type Table struct {
 	frames uint64
 	// slab holds the leaf tables of the current slab not yet handed out.
 	slab []leaf
+	// leaves is the list the table draws on, or nil. Such a table takes
+	// the whole list when it carves its first leaf: slabs holds them,
+	// followed by any it had to allocate, and used counts those carved.
+	leaves *Leaves
+	slabs  [][]leaf
+	used   int
 }
 
-// New creates an empty page table.
-func New() *Table {
-	return &Table{root: new(pml4Table), stats: Stats{Nodes: 1}, frames: 1}
+// New creates an empty page table that allocates its leaf tables.
+func New() *Table { return NewOn(nil) }
+
+// NewOn creates an empty page table that draws its leaf tables from
+// leaves, or allocates them when leaves is nil.
+func NewOn(leaves *Leaves) *Table {
+	return &Table{root: new(pml4Table), stats: Stats{Nodes: 1}, frames: 1, leaves: leaves}
+}
+
+// Release retires the table and cuts it off from its tree: any later use
+// except Stats panics, so nothing reads a leaf after another table
+// reuses it. A table that carved leaves from the list it was built on
+// hands back every slab it carved from, and the list drops the slabs it
+// held besides. Releasing twice does nothing more.
+func (t *Table) Release() {
+	if t.slabs != nil {
+		clear(t.slabs[t.used:])
+		t.leaves.free = t.slabs[:t.used]
+	}
+	*t = Table{stats: t.stats, frames: t.frames}
 }
 
 // Stats returns the accumulated maintenance counters.
@@ -150,10 +185,28 @@ func (t *Table) Map4K(vpn mem.VPN, pfn mem.PFN, flags PTE) { t.MapRange4K(vpn, p
 // MapRange4K installs pages consecutive 4 KiB mappings vpn+k -> pfn+k
 // with the given flags (FlagPresent implied). It descends from the root
 // once per leaf table and fills up to 512 entries there in a loop. Each
-// entry keeps its ignored bits: anchor contiguity written before the page
-// was mapped survives. It panics, before writing anything, when the last
-// frame exceeds the PTE frame field.
+// entry of an existing leaf keeps its ignored bits: anchor contiguity
+// written before the page was mapped survives. A leaf the range creates
+// is written whole, its entries outside the range zero. It panics,
+// before writing anything, when the last frame exceeds the PTE frame
+// field.
 func (t *Table) MapRange4K(vpn mem.VPN, pfn mem.PFN, pages uint64, flags PTE) {
+	t.mapRange(vpn, pfn, pages, flags, 0)
+}
+
+// MapRange4KAnchored is MapRange4K followed by SetAnchorContiguity at
+// every dist-aligned page of the range, recording the run from that page
+// to the range's end: the range must be physically contiguous to its end
+// and no further. Each leaf's anchors are written while the fill has the
+// leaf in hand. dist must be a power of two >= 2.
+func (t *Table) MapRange4KAnchored(vpn mem.VPN, pfn mem.PFN, pages uint64, flags PTE, dist uint64) {
+	checkDistance(dist)
+	t.mapRange(vpn, pfn, pages, flags, dist)
+}
+
+// mapRange is MapRange4K, recording anchors at distance dist when it is
+// not zero.
+func (t *Table) mapRange(vpn mem.VPN, pfn mem.PFN, pages uint64, flags PTE, dist uint64) {
 	if pages == 0 {
 		return
 	}
@@ -161,32 +214,65 @@ func (t *Table) MapRange4K(vpn mem.VPN, pfn mem.PFN, pages uint64, flags PTE) {
 	if pages-1 > uint64(MaxPFN-pfn) {
 		panic(pfnOverflow(uint64(MaxPFN) + 1))
 	}
+	end := vpn + mem.VPN(pages)
 	for pages > 0 {
-		lf := t.ensureLeaf(vpn)
+		lf, created := t.ensureLeaf(vpn)
 		i := indexAt(vpn, LevelPT)
 		n := min(pages, uint64(entriesPerNode-i))
-		for k := i; k < i+int(n); k++ {
-			lf[k] = lf[k]&ignMask | e
-			e += 1 << pfnShift
+		j := i + int(n)
+		if created {
+			// The leaf may hold a released table's entries.
+			clear(lf[:i])
+			for k := i; k < j; k++ {
+				lf[k] = e
+				e += 1 << pfnShift
+			}
+			clear(lf[j:])
+		} else {
+			for k := i; k < j; k++ {
+				lf[k] = lf[k]&ignMask | e
+				e += 1 << pfnShift
+			}
 		}
 		t.stats.PTEWrites += n
+		if dist != 0 {
+			t.stats.PTEWrites += writeAnchors(lf, vpn, vpn+mem.VPN(n), end, dist)
+		}
 		vpn += mem.VPN(n)
 		pages -= n
 	}
 }
 
 // ensureLeaf returns the leaf table holding vpn's entry, allocating the
-// path to it. A new leaf is carved from the current slab.
-func (t *Table) ensureLeaf(vpn mem.VPN) *leaf {
+// path to it, and whether the leaf is new. A new leaf is carved from the
+// current slab; its entries are whatever the slab last held.
+func (t *Table) ensureLeaf(vpn mem.VPN) (*leaf, bool) {
 	pd, i := t.ensurePD(vpn), indexAt(vpn, LevelPD)
-	if pd.child[i] == nil {
-		if len(t.slab) == 0 {
-			t.slab = make([]leaf, leafSlab)
-		}
-		link(t, pd, i, &t.slab[0])
-		t.slab = t.slab[1:]
+	if lf := pd.child[i]; lf != nil {
+		return lf, false
 	}
-	return pd.child[i]
+	if len(t.slab) == 0 {
+		t.slab = t.nextSlab()
+	}
+	link(t, pd, i, &t.slab[0])
+	t.slab = t.slab[1:]
+	return pd.child[i], true
+}
+
+// nextSlab returns a slab to carve leaves from: the next one the table
+// took from its list, or a fresh one.
+func (t *Table) nextSlab() []leaf {
+	if t.leaves == nil {
+		return make([]leaf, leafSlab)
+	}
+	if t.slabs == nil {
+		t.slabs, t.leaves.free = t.leaves.free, nil
+	}
+	if t.used == len(t.slabs) {
+		t.slabs = append(t.slabs, make([]leaf, leafSlab))
+	}
+	t.used++
+	return t.slabs[t.used-1]
 }
 
 // Map2M installs a 2 MiB mapping. vpn and pfn must be 512-page aligned.

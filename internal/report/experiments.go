@@ -25,50 +25,68 @@ type Fig1Series struct {
 	CDF      []mem.CDFPoint
 }
 
+// fig1Pressures are Figure 1's series: the footprint alone and under
+// rising background pressure.
+var fig1Pressures = []struct {
+	label    string
+	pressure float64
+}{
+	{"alone", 0},
+	{"bg-low", 0.3},
+	{"bg-mid", 0.6},
+	{"bg-high", 0.9},
+}
+
 // Fig1Data computes the CDF series for one footprint at several pressure
 // levels.
 func Fig1Data(footprintPages uint64, seed int64) ([]Fig1Series, error) {
-	var out []Fig1Series
-	for _, p := range []struct {
-		label    string
-		pressure float64
-	}{
-		{"alone", 0},
-		{"bg-low", 0.3},
-		{"bg-mid", 0.6},
-		{"bg-high", 0.9},
-	} {
+	series, err := fig1Data([]uint64{footprintPages}, seed, 1)
+	if err != nil {
+		return nil, err
+	}
+	return series[0], nil
+}
+
+// fig1Data computes Fig1Data for each footprint, generating the mappings
+// on at most par goroutines.
+func fig1Data(footprints []uint64, seed int64, par int) ([][]Fig1Series, error) {
+	n := len(fig1Pressures)
+	out := make([][]Fig1Series, len(footprints))
+	for i := range out {
+		out[i] = make([]Fig1Series, n)
+	}
+	err := inParallel(len(footprints)*n, par, func(k int) error {
+		p := fig1Pressures[k%n]
 		cl, err := mapping.Generate(mapping.Demand, mapping.Config{
-			FootprintPages: footprintPages,
+			FootprintPages: footprints[k/n],
 			Seed:           seed,
 			Pressure:       p.pressure,
 		})
 		if err != nil {
-			return nil, err
+			return err
 		}
-		out = append(out, Fig1Series{
+		out[k/n][k%n] = Fig1Series{
 			Label:    p.label,
 			Pressure: p.pressure,
 			CDF:      mem.BuildHistogram(cl).CDF(),
-		})
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
 func runFig1(w io.Writer, opts Options) error {
 	opts = opts.withDefaults()
-	for _, wl := range []struct {
-		name      string
-		footprint uint64
-	}{
-		{"canneal (4-socket stand-in)", 940 << 8},
-		{"raytrace (2-socket stand-in)", 1300 << 8},
-	} {
-		series, err := Fig1Data(wl.footprint, opts.Seed)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "Figure 1: chunk-size CDF, %s\n", wl.name)
+	names := []string{"canneal (4-socket stand-in)", "raytrace (2-socket stand-in)"}
+	all, err := fig1Data([]uint64{940 << 8, 1300 << 8}, opts.Seed, opts.Parallelism)
+	if err != nil {
+		return err
+	}
+	for i, series := range all {
+		fmt.Fprintf(w, "Figure 1: chunk-size CDF, %s\n", names[i])
 		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 		fmt.Fprintln(tw, "series\tchunks<=16\tchunks<=512\tchunks<=4096\tmax-chunk")
 		for _, s := range series {
@@ -309,21 +327,30 @@ func runTab5(w io.Writer, opts Options) error {
 // for every benchmark and scenario.
 func Tab6Data(opts Options) (map[string]map[mapping.Scenario]uint64, error) {
 	opts = opts.withDefaults()
+	suite, scs := opts.suite(), mapping.All()
+	dists := make([]uint64, len(suite)*len(scs))
+	err := inParallel(len(dists), opts.Parallelism, func(k int) error {
+		spec := suite[k/len(scs)]
+		cl, err := mapping.Generate(scs[k%len(scs)], mapping.Config{
+			FootprintPages: spec.FootprintPages,
+			Seed:           opts.Seed,
+			Pressure:       opts.Pressure,
+			FineGrained:    spec.FineGrainedAlloc,
+		})
+		if err != nil {
+			return err
+		}
+		dists[k], _ = core.SelectDistanceFromChunks(cl)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
 	out := make(map[string]map[mapping.Scenario]uint64)
-	for _, spec := range opts.suite() {
+	for i, spec := range suite {
 		out[spec.Name] = make(map[mapping.Scenario]uint64)
-		for _, sc := range mapping.All() {
-			cl, err := mapping.Generate(sc, mapping.Config{
-				FootprintPages: spec.FootprintPages,
-				Seed:           opts.Seed,
-				Pressure:       opts.Pressure,
-				FineGrained:    spec.FineGrainedAlloc,
-			})
-			if err != nil {
-				return nil, err
-			}
-			d, _ := core.SelectDistanceFromChunks(cl)
-			out[spec.Name][sc] = d
+		for j, sc := range scs {
+			out[spec.Name][sc] = dists[i*len(scs)+j]
 		}
 	}
 	return out, nil

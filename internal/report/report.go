@@ -24,6 +24,8 @@ import (
 	"io"
 	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"text/tabwriter"
 
 	"hybridtlb/internal/mapping"
@@ -120,6 +122,31 @@ func (b *batch) add(js ...sweep.Job) int {
 // addCfg appends a single-job cell.
 func (b *batch) addCfg(cfg sim.Config) int {
 	return b.add(sweep.Job{Config: cfg})
+}
+
+// inParallel calls fn(i) for every i in [0, n) on at most par
+// goroutines, each taking the next index until none is left, and returns
+// once every call has. Its error is that of the lowest failing index.
+func inParallel(n, par int, fn func(i int) error) error {
+	errs := make([]error, n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < min(par, n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				errs[i] = fn(i)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // run executes the batch on the options' engine and returns per-cell

@@ -3,7 +3,9 @@ package report
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"hybridtlb/internal/mapping"
@@ -155,6 +157,33 @@ func TestFig1Data(t *testing.T) {
 	alone, high := series[0], series[3]
 	if cdfAt(high.CDF, 16) <= cdfAt(alone.CDF, 16) {
 		t.Errorf("pressure did not shift CDF: alone %.3f vs high %.3f", cdfAt(alone.CDF, 16), cdfAt(high.CDF, 16))
+	}
+}
+
+// TestInParallel: every index runs exactly once whatever the worker
+// count, and the error is the lowest failing index's, as in a serial
+// loop, not the first to fail in time.
+func TestInParallel(t *testing.T) {
+	for _, par := range []int{1, 3, 16} {
+		var calls [10]atomic.Int32
+		err := inParallel(len(calls), par, func(i int) error {
+			calls[i].Add(1)
+			if i == 3 || i == 7 {
+				return fmt.Errorf("index %d", i)
+			}
+			return nil
+		})
+		if err == nil || err.Error() != "index 3" {
+			t.Errorf("par %d: error %v, want index 3", par, err)
+		}
+		for i := range calls {
+			if n := calls[i].Load(); n != 1 {
+				t.Errorf("par %d: index %d ran %d times", par, i, n)
+			}
+		}
+	}
+	if err := inParallel(0, 2, func(int) error { return fmt.Errorf("called") }); err != nil {
+		t.Errorf("no indices: %v", err)
 	}
 }
 

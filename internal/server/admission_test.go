@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"hybridtlb"
 	"hybridtlb/internal/tenant"
 )
 
@@ -166,6 +167,41 @@ func TestInflightQuotaSpansEndpoints(t *testing.T) {
 	resp = doAuthed(t, "POST", ts.URL+"/v1/sweeps", "key-a", sweepBody)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("post-release sweep: status %d, want 202", resp.StatusCode)
+	}
+	resp.Body.Close()
+}
+
+// slowStats is a fakeRunner whose Stats, which a worker calls after it
+// has published a sweep's terminal state, waits until gate closes.
+type slowStats struct {
+	*fakeRunner
+	gate chan struct{}
+}
+
+func (r slowStats) Stats() hybridtlb.CacheStats {
+	<-r.gate
+	return r.fakeRunner.Stats()
+}
+
+// TestTerminalSweepReleasesQuotaFirst: once a client sees its sweep
+// done, the tenant's in-flight slot is already free, even while the
+// worker is still wrapping the job up.
+func TestTerminalSweepReleasesQuotaFirst(t *testing.T) {
+	reg := mustRegistry(t, `{"tenants":[{"name":"a","key":"key-a","max_in_flight":1}]}`)
+	r := slowStats{fakeRunner: &fakeRunner{}, gate: make(chan struct{})}
+	_, ts := newTestServer(t, Config{Runner: r, Workers: 1, Tenants: reg})
+	defer close(r.gate)
+
+	resp := doAuthed(t, "POST", ts.URL+"/v1/sweeps", "key-a", sweepBody)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("first sweep: status %d, want 202", resp.StatusCode)
+	}
+	accepted := decodeBody[struct{ ID string }](t, resp)
+	waitForState(t, ts.URL+"/v1/sweeps/"+accepted.ID, "key-a", JobDone)
+
+	resp = doAuthed(t, "POST", ts.URL+"/v1/sweeps", "key-a", sweepBody)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("sweep after the first was seen done: status %d, want 202", resp.StatusCode)
 	}
 	resp.Body.Close()
 }

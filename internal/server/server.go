@@ -596,12 +596,14 @@ func (s *Server) noteEvictions(ids []string) {
 
 // runJob executes one queued sweep on a worker goroutine.
 func (s *Server) runJob(base context.Context, j *job) {
-	// The in-flight slot acquired at admission is held until here —
-	// terminal transition — so MaxInFlight bounds queued+running work.
-	defer s.releaseJob(j)
+	// The in-flight slot acquired at admission is held until the job's
+	// terminal transition, so MaxInFlight bounds queued+running work. A
+	// finished sweep returns it before its state is published, so a
+	// client that sees the job terminal can submit again at once.
 	ctx, cancel := context.WithTimeout(base, s.cfg.JobTimeout)
 	defer cancel()
 	if !j.start(cancel) {
+		s.releaseJob(j)
 		s.journalState(j.id, string(JobCanceled), "")
 		s.metrics.observeJob(JobCanceled, j.tenant)
 		s.log.Info("sweep canceled before start", "job", j.id)
@@ -627,6 +629,7 @@ func (s *Server) runJob(base context.Context, j *job) {
 	results, err := s.runner.Run(ctx, cfgs, func(done, _ int) {
 		j.setProgress(done)
 	})
+	s.releaseJob(j)
 	state := j.finish(results, err)
 	errMsg := ""
 	if err != nil {

@@ -15,6 +15,7 @@ import (
 	"hybridtlb/internal/mem"
 	"hybridtlb/internal/mmu"
 	"hybridtlb/internal/osmem"
+	"hybridtlb/internal/pagetable"
 	"hybridtlb/internal/trace"
 	"hybridtlb/internal/workload"
 )
@@ -187,22 +188,28 @@ func (s TraceSpec) Key() TraceKey {
 	return TraceKey{s.Workload.Identity(), s.Footprint, s.Records, s.Seed}
 }
 
-// Inputs supplies a run's mapping and trace. Runs only read the chunk
-// list (the OS installs a copy), so Mapping may hand one list to many
-// concurrent runs; Trace returns a source of its own on every call.
+// Inputs supplies a run's mapping and trace, and the memory its page
+// table is built in. Runs only read the chunk list (the OS installs a
+// copy), so Mapping may hand one list to many concurrent runs; Trace
+// returns a source of its own on every call. Leaves is the free list the
+// run's page table draws its leaf tables from and releases them to once
+// the run's results are taken, or nil to allocate them; a list serves
+// one run at a time.
 type Inputs interface {
 	Mapping(MappingSpec) (mem.ChunkList, error)
 	Trace(TraceSpec) trace.Source
+	Leaves() *pagetable.Leaves
 }
 
 // Generated is the Inputs that generates every mapping and trace on
-// demand.
+// demand and allocates every page table.
 var Generated Inputs = generated{}
 
 type generated struct{}
 
 func (generated) Mapping(s MappingSpec) (mem.ChunkList, error) { return s.Generate() }
 func (generated) Trace(s TraceSpec) trace.Source               { return s.Generate() }
+func (generated) Leaves() *pagetable.Leaves                    { return nil }
 
 // Result reports one simulation.
 type Result struct {
@@ -315,7 +322,7 @@ func run(cfg Config, in Inputs, churn *ChurnConfig, driveFn driveFunc) (Result, 
 	}
 	pol := cfg.Scheme.Policy()
 	pol.Cost = cfg.CostModel
-	proc := osmem.NewProcess(pol)
+	proc := osmem.NewProcessOn(pol, in.Leaves())
 	if cfg.MultiRegionAnchors {
 		if err := proc.InstallChunksRegions(cl, 0); err != nil {
 			return Result{}, ChurnStats{}, fmt.Errorf("sim: installing multi-region mapping: %w", err)
@@ -323,6 +330,8 @@ func run(cfg Config, in Inputs, churn *ChurnConfig, driveFn driveFunc) (Result, 
 	} else if err := proc.InstallChunks(cl, cfg.FixedDistance); err != nil {
 		return Result{}, ChurnStats{}, fmt.Errorf("sim: installing mapping: %w", err)
 	}
+	// The table's leaves go back to in's list once the results are taken.
+	defer proc.PageTable().Release()
 	m := mmu.New(cfg.Scheme, cfg.HW, proc)
 
 	src := in.Trace(TraceOf(cfg, cl[0].StartVPN))

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"hybridtlb/internal/pagetable"
 	"hybridtlb/internal/sim"
 )
 
@@ -100,7 +101,7 @@ type Engine struct {
 	runJob func(Job, sim.Inputs) (sim.Result, sim.ChurnStats, error)
 	// inputs generates the mappings and traces a batch's memo shares;
 	// tests substitute it to count generations and inject failures.
-	inputs sim.Inputs
+	inputs generator
 	// traceLimit caps the trace records the memos of all running
 	// batches hold (traceMemoBytes worth; tests lower it), and traceLive
 	// counts the records they have reserved.
@@ -319,6 +320,7 @@ func (e *Engine) RunWithProgress(ctx context.Context, jobs []Job, progress Progr
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			in := workerInputs{memo, new(pagetable.Leaves)}
 			for {
 				n := int(next.Add(1)) - 1
 				if n >= len(tasks) {
@@ -333,7 +335,7 @@ func (e *Engine) RunWithProgress(ctx context.Context, jobs []Job, progress Progr
 					report(t.positions...)
 					continue
 				}
-				res, churn, fromStore, err := e.runTask(ctx, t, memo)
+				res, churn, fromStore, err := e.runTask(ctx, t, in)
 				if err == nil && !e.disableCache {
 					e.mu.Lock()
 					e.cache[t.key] = cached{res: res, churn: churn}

@@ -15,6 +15,7 @@ import (
 
 	"hybridtlb/internal/mem"
 	"hybridtlb/internal/mmu"
+	"hybridtlb/internal/pagetable"
 	"hybridtlb/internal/sim"
 	"hybridtlb/internal/trace"
 )
@@ -47,12 +48,13 @@ func mappingsOf(jobs []Job) map[sim.MappingSpec]bool {
 	return specs
 }
 
-// mappingInputs is a sim.Inputs drawing mappings from a function and
-// generating traces.
+// mappingInputs is a sim.Inputs drawing mappings from a function,
+// generating traces and allocating page tables.
 type mappingInputs func(sim.MappingSpec) (mem.ChunkList, error)
 
 func (f mappingInputs) Mapping(s sim.MappingSpec) (mem.ChunkList, error) { return f(s) }
 func (mappingInputs) Trace(s sim.TraceSpec) trace.Source                 { return s.Generate() }
+func (mappingInputs) Leaves() *pagetable.Leaves                          { return nil }
 
 // countingGenerator wraps the real generator, counting mapping calls per
 // spec and trace calls per key. onTrace, when set, runs before each
