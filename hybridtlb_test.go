@@ -246,6 +246,29 @@ func TestSimulateEndToEnd(t *testing.T) {
 	}
 }
 
+// TestSimulateTinyFootprints: every workload simulates a footprint of a
+// few pages, below the 16-page granule of the skewed patterns and the
+// 8- and 16-page fractions the pointer chases take, without panicking.
+func TestSimulateTinyFootprints(t *testing.T) {
+	for _, wl := range Workloads() {
+		for _, fp := range []uint64{1, 2, 7, 8, 15, 16, 17} {
+			res, err := func() (res SimulationResult, err error) {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Errorf("%s at %d pages: panic: %v", wl, fp, p)
+					}
+				}()
+				return Simulate(SimulationConfig{Scheme: SchemeAnchor, Workload: wl, Scenario: ScenarioMedium, Accesses: 500, FootprintPages: fp, Seed: 3})
+			}()
+			if err != nil {
+				t.Errorf("%s at %d pages: %v", wl, fp, err)
+			} else if res.Stats.Accesses != 500 {
+				t.Errorf("%s at %d pages: %d accesses, want 500", wl, fp, res.Stats.Accesses)
+			}
+		}
+	}
+}
+
 func TestSimulateValidation(t *testing.T) {
 	base := SimulationConfig{Scheme: SchemeBase, Workload: "gups", Scenario: ScenarioLow, Accesses: 1000, FootprintPages: 4096}
 	for _, mutate := range []func(*SimulationConfig){

@@ -25,6 +25,11 @@ type Process struct {
 	// demote them.
 	huge map[mem.VPN]mem.PFN
 
+	// built is the anchor distance a single-distance install built the
+	// page table at, and writes the table's PTE writes when it was done:
+	// what Rebind checks a table against (see share.go).
+	built, writes uint64
+
 	// regions is the multi-region anchor table (Section 4.2 extension);
 	// nil for single-distance processes.
 	regions []Region
@@ -123,22 +128,50 @@ func (p *Process) shootdown(vpn mem.VPN) {
 // rebuilds the page table, and flushes TLBs. A rejected list or distance
 // leaves the process as it was.
 func (p *Process) InstallChunks(cl mem.ChunkList, fixedDistance uint64) error {
-	if p.policy.Anchors && fixedDistance != 0 && !core.ValidDistance(fixedDistance) {
-		return fmt.Errorf("osmem: invalid fixed anchor distance %d", fixedDistance)
-	}
-	sorted, err := installable(cl)
+	sorted, dist, err := p.prepare(cl, fixedDistance)
 	if err != nil {
 		return err
 	}
-	if p.policy.Anchors {
-		p.dist = fixedDistance
-		if p.dist == 0 {
-			p.dist, _ = core.SelectDistanceModel(mem.BuildHistogram(sorted), p.policy.Cost)
-		}
-	}
-	p.regions = nil
-	p.install(sorted)
+	p.installAt(sorted, dist, dist)
 	return nil
+}
+
+// prepare checks an install of cl at fixedDistance and returns the
+// installable list and the anchor distance the process takes: the fixed
+// one, the one the policy's cost model selects, or the current one
+// without anchors.
+func (p *Process) prepare(cl mem.ChunkList, fixedDistance uint64) (mem.ChunkList, uint64, error) {
+	if p.policy.Anchors && fixedDistance != 0 && !core.ValidDistance(fixedDistance) {
+		return nil, 0, fmt.Errorf("osmem: invalid fixed anchor distance %d", fixedDistance)
+	}
+	sorted, err := installable(cl)
+	if err != nil {
+		return nil, 0, err
+	}
+	return sorted, installDistance(sorted, p.policy, fixedDistance, p.dist), nil
+}
+
+// installDistance is the anchor distance an install of the installable
+// list cl under pol takes: fixedDistance, or the distance pol's cost
+// model selects when it is 0; current without anchors.
+func installDistance(cl mem.ChunkList, pol Policy, fixedDistance, current uint64) uint64 {
+	switch {
+	case !pol.Anchors:
+		return current
+	case fixedDistance != 0:
+		return fixedDistance
+	}
+	d, _ := core.SelectDistanceModel(mem.BuildHistogram(cl), pol.Cost)
+	return d
+}
+
+// installAt makes the installable list cl the mapping at the single
+// anchor distance dist, with the page table built at distance build.
+func (p *Process) installAt(cl mem.ChunkList, dist, build uint64) {
+	p.regions = nil
+	p.dist = build
+	p.install(cl)
+	p.dist, p.built, p.writes = dist, build, p.pt.Stats().PTEWrites
 }
 
 // installable returns a sorted and coalesced copy of cl, or the reason

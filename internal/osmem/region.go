@@ -61,42 +61,44 @@ func PartitionRegionsModel(cl mem.ChunkList, maxRegions int, model core.CostMode
 		maxRegions = 1
 	}
 
-	// Candidate regions: maximal runs of chunks in the same class.
+	// Candidate regions: maximal runs cl[lo:hi] of chunks in the same
+	// class, with their page totals.
 	type candidate struct {
-		start, end mem.VPN
-		chunks     mem.ChunkList
-		class      int
+		lo, hi int
+		pages  uint64
+		class  int
 	}
 	var cands []candidate
-	for _, c := range cl {
+	for i, c := range cl {
 		cls := contiguityClass(c.Pages)
 		if n := len(cands); n > 0 && cands[n-1].class == cls {
-			cands[n-1].end = c.EndVPN()
-			cands[n-1].chunks = append(cands[n-1].chunks, c)
+			cands[n-1].hi = i + 1
+			cands[n-1].pages += c.Pages
 			continue
 		}
-		cands = append(cands, candidate{start: c.StartVPN, end: c.EndVPN(), chunks: mem.ChunkList{c}, class: cls})
+		cands = append(cands, candidate{lo: i, hi: i + 1, pages: c.Pages, class: cls})
 	}
 
 	// Merge down to the hardware budget: repeatedly merge the adjacent
-	// pair with the smallest combined footprint (least-damage greedy).
+	// pair with the smallest combined footprint (least-damage greedy),
+	// the first such pair on ties.
 	for len(cands) > maxRegions {
 		best, bestPages := 0, uint64(1)<<63
 		for i := 0; i+1 < len(cands); i++ {
-			pages := cands[i].chunks.TotalPages() + cands[i+1].chunks.TotalPages()
-			if pages < bestPages {
+			if pages := cands[i].pages + cands[i+1].pages; pages < bestPages {
 				best, bestPages = i, pages
 			}
 		}
-		cands[best].end = cands[best+1].end
-		cands[best].chunks = append(cands[best].chunks, cands[best+1].chunks...)
+		cands[best].hi = cands[best+1].hi
+		cands[best].pages = bestPages
 		cands = append(cands[:best+1], cands[best+2:]...)
 	}
 
 	regions := make([]Region, 0, len(cands))
 	for _, c := range cands {
-		d, _ := core.SelectDistanceModel(mem.BuildHistogram(c.chunks), model)
-		regions = append(regions, Region{Start: c.start, End: c.end, Distance: d})
+		run := cl[c.lo:c.hi]
+		d, _ := core.SelectDistanceModel(mem.BuildHistogram(run), model)
+		regions = append(regions, Region{Start: run[0].StartVPN, End: run[len(run)-1].EndVPN(), Distance: d})
 	}
 	return regions
 }

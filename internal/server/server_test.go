@@ -671,6 +671,12 @@ func TestSimulateEndToEnd(t *testing.T) {
 	if !reflect.DeepEqual(sharded, got) {
 		t.Errorf("\"shards\": 4 changed the result:\n got %+v\nwant %+v", sharded, got)
 	}
+
+	// A one-page footprint, under the skewed and chase patterns'
+	// granules, simulates too.
+	for _, wl := range []string{"canneal", "mcf", "tigr"} {
+		simulate(`{"scheme":"anchor","workload":"` + wl + `","scenario":"medium","accesses":2000,"footprint_pages":1}`)
+	}
 }
 
 func TestListSweeps(t *testing.T) {

@@ -188,28 +188,80 @@ func (s TraceSpec) Key() TraceKey {
 	return TraceKey{s.Workload.Identity(), s.Footprint, s.Records, s.Seed}
 }
 
-// Inputs supplies a run's mapping and trace, and the memory its page
-// table is built in. Runs only read the chunk list (the OS installs a
-// copy), so Mapping may hand one list to many concurrent runs; Trace
-// returns a source of its own on every call. Leaves is the free list the
-// run's page table draws its leaf tables from and releases them to once
-// the run's results are taken, or nil to allocate them; a list serves
-// one run at a time.
+// Inputs supplies a run's mapping and trace, and the process the run
+// drives. Runs only read the chunk list (the OS installs a copy), so
+// Mapping may hand one list to many concurrent runs; Trace returns a
+// source of its own on every call. Install returns a process with cl,
+// the mapping of s.Mapping, installed as s asks, reading exactly like a
+// process fresh from Generated's Install; the run hands it to Release
+// once its results are taken.
 type Inputs interface {
 	Mapping(MappingSpec) (mem.ChunkList, error)
 	Trace(TraceSpec) trace.Source
-	Leaves() *pagetable.Leaves
+	Install(s InstallSpec, cl mem.ChunkList) (*osmem.Process, error)
+	Release(*osmem.Process)
+}
+
+// InstallSpec names the process a run installs: its mapping, the OS
+// policy and how the anchor distance is chosen.
+type InstallSpec struct {
+	Mapping MappingSpec
+	// Policy is the scheme's policy with the run's cost model.
+	Policy osmem.Policy
+	// Distance pins the anchor distance; 0 selects it from the mapping.
+	Distance uint64
+	// MultiRegion installs per-region anchor distances instead.
+	MultiRegion bool
+	// Churn marks a run that remaps its pages while it runs.
+	Churn bool
+}
+
+// InstallOf returns the spec of the process cfg's run installs, churn
+// telling whether the run remaps pages: the one place a run's install
+// inputs are derived, for every drive here and for the sweep engine's
+// table reuse.
+func InstallOf(cfg Config, churn bool) InstallSpec {
+	cfg = cfg.withDefaults()
+	pol := cfg.Scheme.Policy()
+	pol.Cost = cfg.CostModel
+	return InstallSpec{
+		Mapping:     MappingOf(cfg),
+		Policy:      pol,
+		Distance:    cfg.FixedDistance,
+		MultiRegion: cfg.MultiRegionAnchors && !churn,
+		Churn:       churn,
+	}
+}
+
+// InstallOn installs cl as s asks into a new process whose page table
+// draws its leaf tables from leaves (nil: allocates them).
+func (s InstallSpec) InstallOn(leaves *pagetable.Leaves, cl mem.ChunkList) (*osmem.Process, error) {
+	proc := osmem.NewProcessOn(s.Policy, leaves)
+	var err error
+	if s.MultiRegion {
+		err = proc.InstallChunksRegions(cl, 0)
+	} else {
+		err = proc.InstallChunks(cl, s.Distance)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return proc, nil
 }
 
 // Generated is the Inputs that generates every mapping and trace on
-// demand and allocates every page table.
+// demand and installs every process fresh, in a page table it allocates
+// and releases after the run.
 var Generated Inputs = generated{}
 
 type generated struct{}
 
 func (generated) Mapping(s MappingSpec) (mem.ChunkList, error) { return s.Generate() }
 func (generated) Trace(s TraceSpec) trace.Source               { return s.Generate() }
-func (generated) Leaves() *pagetable.Leaves                    { return nil }
+func (generated) Install(s InstallSpec, cl mem.ChunkList) (*osmem.Process, error) {
+	return s.InstallOn(nil, cl)
+}
+func (generated) Release(p *osmem.Process) { p.PageTable().Release() }
 
 // Result reports one simulation.
 type Result struct {
@@ -312,7 +364,8 @@ func run(cfg Config, in Inputs, churn *ChurnConfig, driveFn driveFunc) (Result, 
 		cfg.DetailedWalk, cfg.MultiRegionAnchors = false, false
 	}
 
-	cl, err := in.Mapping(MappingOf(cfg))
+	spec := InstallOf(cfg, churn != nil)
+	cl, err := in.Mapping(spec.Mapping)
 	if err != nil {
 		return Result{}, ChurnStats{}, fmt.Errorf("sim: generating mapping: %w", err)
 	}
@@ -320,18 +373,16 @@ func run(cfg Config, in Inputs, churn *ChurnConfig, driveFn driveFunc) (Result, 
 	if cfg.DetailedWalk {
 		cfg.HW.Walk = mmu.NewWalkModel()
 	}
-	pol := cfg.Scheme.Policy()
-	pol.Cost = cfg.CostModel
-	proc := osmem.NewProcessOn(pol, in.Leaves())
-	if cfg.MultiRegionAnchors {
-		if err := proc.InstallChunksRegions(cl, 0); err != nil {
-			return Result{}, ChurnStats{}, fmt.Errorf("sim: installing multi-region mapping: %w", err)
+	proc, err := in.Install(spec, cl)
+	if err != nil {
+		what := "mapping"
+		if spec.MultiRegion {
+			what = "multi-region mapping"
 		}
-	} else if err := proc.InstallChunks(cl, cfg.FixedDistance); err != nil {
-		return Result{}, ChurnStats{}, fmt.Errorf("sim: installing mapping: %w", err)
+		return Result{}, ChurnStats{}, fmt.Errorf("sim: installing %s: %w", what, err)
 	}
-	// The table's leaves go back to in's list once the results are taken.
-	defer proc.PageTable().Release()
+	// The process goes back to in once the results are taken.
+	defer in.Release(proc)
 	m := mmu.New(cfg.Scheme, cfg.HW, proc)
 
 	src := in.Trace(TraceOf(cfg, cl[0].StartVPN))

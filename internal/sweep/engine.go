@@ -1,10 +1,12 @@
 package sweep
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -148,7 +150,7 @@ func (e *Engine) Stats() CacheStats {
 
 // execute runs one job, drawing its mapping and trace from in.
 func execute(j Job, in sim.Inputs) (res sim.Result, churn sim.ChurnStats, err error) {
-	if j.ChurnIntervalInstructions != 0 || j.ChurnPages != 0 {
+	if j.churn() {
 		return sim.RunWithChurnFrom(sim.ChurnConfig{
 			Config:                    j.Config,
 			ChurnIntervalInstructions: j.ChurnIntervalInstructions,
@@ -226,6 +228,103 @@ type task struct {
 	job       Job
 	key       string
 	positions []int
+}
+
+// tableKey is what decides whether two runs may share a page table: the
+// mapping they install, the policy's THP and anchor settings, and whether
+// the run installs a table of its own (see workerInputs.Install).
+type tableKey struct {
+	mapping      sim.MappingSpec
+	thp, anchors bool
+	own          bool
+}
+
+// groupTasks groups tasks by table key, larger groups first and groups
+// of one size in the order of their first task: a figure row's dynamic
+// run and static-ideal probes form one group, its base and cluster runs
+// another, and its thp, cl.2mb and rmm runs a third. A group's tasks are
+// in rank order, so the pinned distances one build distance serves
+// follow each other.
+func groupTasks(tasks []*task) [][]*task {
+	var groups [][]*task
+	index := make(map[tableKey]int)
+	for _, t := range tasks {
+		s := sim.InstallOf(t.job.Config, t.job.churn())
+		k := tableKey{s.Mapping, s.Policy.THP, s.Policy.Anchors, !shareable(s)}
+		i, ok := index[k]
+		if !ok {
+			i = len(groups)
+			index[k] = i
+			groups = append(groups, nil)
+		}
+		groups[i] = append(groups[i], t)
+	}
+	for _, g := range groups {
+		slices.SortStableFunc(g, func(a, b *task) int { return cmp.Compare(a.rank(), b.rank()) })
+	}
+	slices.SortStableFunc(groups, func(a, b []*task) int { return len(b) - len(a) })
+	return groups
+}
+
+// rank orders a group's tasks: by pinned distance, and a dynamic run
+// just below 8, where the build distance of pinned distances turns from
+// 2 to 8 (osmem.BuildDistance). When its selected distance needs one of
+// the two, the run shares a neighbour's table.
+func (t *task) rank() uint64 {
+	if d := t.job.Config.FixedDistance; d != 0 {
+		return d
+	}
+	return pagetable.EntriesPerCacheBlock - 1
+}
+
+// queue hands a batch's tasks to its workers a group at a time. A worker
+// takes its group's tasks from the front, so its consecutive runs share
+// its kept page table, and starts the next group once its own is done.
+// When every group has started, a worker without one joins the group
+// with most tasks left and takes them from the back, away from the build
+// distances the group's other worker is on: no worker idles while a task
+// is left, however few groups the batch has.
+type queue struct {
+	mu     sync.Mutex
+	groups [][]*task // per group, the tasks no worker has taken
+	next   int       // groups[next:] have not started
+}
+
+// cursor is a worker's place in the queue: the group it takes from (-1:
+// none yet), and whether from the back.
+type cursor struct {
+	group int
+	back  bool
+}
+
+// take returns the next task for the worker at c, moving c to another
+// group when its own has no task left, or nil when no task is left.
+func (q *queue) take(c *cursor) *task {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if c.group < 0 || len(q.groups[c.group]) == 0 {
+		if q.next < len(q.groups) {
+			*c = cursor{group: q.next}
+			q.next++
+		} else {
+			*c = cursor{group: -1, back: true}
+			for i, g := range q.groups {
+				if len(g) > 0 && (c.group < 0 || len(g) > len(q.groups[c.group])) {
+					c.group = i
+				}
+			}
+			if c.group < 0 {
+				return nil
+			}
+		}
+	}
+	g := q.groups[c.group]
+	if c.back {
+		q.groups[c.group] = g[:len(g)-1]
+		return g[len(g)-1]
+	}
+	q.groups[c.group] = g[1:]
+	return g[0]
 }
 
 // Run executes the jobs and returns their results in input order,
@@ -314,19 +413,20 @@ func (e *Engine) RunWithProgress(ctx context.Context, jobs []Job, progress Progr
 	}
 	memo := e.planMemo(tasks)
 	defer e.traceLive.Add(-memo.reserved)
-	var next atomic.Int64
+	q := &queue{groups: groupTasks(tasks)}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			in := workerInputs{memo, new(pagetable.Leaves)}
+			in := &workerInputs{batchMemo: memo, leaves: new(pagetable.Leaves)}
+			defer in.drop()
+			c := cursor{group: -1}
 			for {
-				n := int(next.Add(1)) - 1
-				if n >= len(tasks) {
+				t := q.take(&c)
+				if t == nil {
 					return
 				}
-				t := tasks[n]
 				if err := ctx.Err(); err != nil {
 					// Drain the queue, marking unstarted jobs cancelled.
 					for _, i := range t.positions {

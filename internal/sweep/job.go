@@ -39,11 +39,14 @@ func (j Job) String() string {
 	if c.FixedDistance != 0 {
 		s += fmt.Sprintf(" d=%d", c.FixedDistance)
 	}
-	if j.ChurnIntervalInstructions != 0 || j.ChurnPages != 0 {
+	if j.churn() {
 		s += " churn"
 	}
 	return s
 }
+
+// churn reports whether the job runs under mapping churn.
+func (j Job) churn() bool { return j.ChurnIntervalInstructions != 0 || j.ChurnPages != 0 }
 
 // Key returns the job's content-addressed cache key: a SHA-256 over a
 // canonical serialization of the defaulted configuration. Two jobs with

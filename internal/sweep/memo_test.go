@@ -15,7 +15,7 @@ import (
 
 	"hybridtlb/internal/mem"
 	"hybridtlb/internal/mmu"
-	"hybridtlb/internal/pagetable"
+	"hybridtlb/internal/osmem"
 	"hybridtlb/internal/sim"
 	"hybridtlb/internal/trace"
 )
@@ -54,7 +54,10 @@ type mappingInputs func(sim.MappingSpec) (mem.ChunkList, error)
 
 func (f mappingInputs) Mapping(s sim.MappingSpec) (mem.ChunkList, error) { return f(s) }
 func (mappingInputs) Trace(s sim.TraceSpec) trace.Source                 { return s.Generate() }
-func (mappingInputs) Leaves() *pagetable.Leaves                          { return nil }
+func (mappingInputs) Install(s sim.InstallSpec, cl mem.ChunkList) (*osmem.Process, error) {
+	return sim.Generated.Install(s, cl)
+}
+func (mappingInputs) Release(p *osmem.Process) { sim.Generated.Release(p) }
 
 // countingGenerator wraps the real generator, counting mapping calls per
 // spec and trace calls per key. onTrace, when set, runs before each
@@ -174,6 +177,27 @@ func TestMappingMemoLeavesChunkListUnchanged(t *testing.T) {
 		if !slices.Equal(shared[i], copies[i]) {
 			t.Errorf("shared chunk list %d was modified by the batch", i)
 		}
+	}
+}
+
+// TestMappingMemoKeepsExactCapacity: the memo keeps an exact-length copy
+// of a list the generator grew by appending, with the same chunks.
+func TestMappingMemoKeepsExactCapacity(t *testing.T) {
+	spec := sim.MappingOf(memoJobs(t)[0].Config)
+	want, err := spec.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	memo := &batchMemo{gen: mappingInputs(func(s sim.MappingSpec) (mem.ChunkList, error) {
+		cl, err := s.Generate()
+		return append(cl, make(mem.ChunkList, len(cl))...)[:len(cl)], err
+	}), maps: make(map[sim.MappingSpec]*mappingEntry)}
+	got, err := memo.Mapping(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap(got) != len(got) || !slices.Equal(got, want) {
+		t.Errorf("memo keeps %d chunks in a list of capacity %d (equal to the generator's: %t)", len(got), cap(got), slices.Equal(got, want))
 	}
 }
 

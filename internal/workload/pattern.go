@@ -38,16 +38,23 @@ const zipfGranule = 16
 type zipfPattern struct {
 	z         *rand.Zipf
 	footprint uint64
+	// span is what groups scatter over: the footprint rounded down to
+	// whole granules, and one granule for a footprint under one.
+	span uint64
 }
 
 func newZipf(r *rand.Rand, footprint uint64, s float64) *zipfPattern {
-	return &zipfPattern{z: rand.NewZipf(r, s, 1, footprint-1), footprint: footprint}
+	return &zipfPattern{
+		z:         rand.NewZipf(r, s, 1, footprint-1),
+		footprint: footprint,
+		span:      max(footprint/zipfGranule, 1) * zipfGranule,
+	}
 }
 
 func (p *zipfPattern) next() uint64 {
 	rank := p.z.Uint64()
 	group := rank / zipfGranule
-	scattered := (group * 0x9E3779B97F4A7C15) % (p.footprint / zipfGranule * zipfGranule)
+	scattered := (group * 0x9E3779B97F4A7C15) % p.span
 	return (scattered/zipfGranule*zipfGranule + rank%zipfGranule) % p.footprint
 }
 
@@ -87,7 +94,8 @@ func (p *streamPattern) next() uint64 {
 // mummer, tigr): a full-period LCG visits every page in a fixed pseudo-
 // random order, like following a linked structure laid out by an
 // allocator. footprint is rounded up to a power of two internally and
-// out-of-range values are skipped, preserving full coverage.
+// out-of-range values are skipped, preserving full coverage; a footprint
+// under one page chases page 0.
 type chasePattern struct {
 	footprint uint64
 	mod       uint64 // power of two >= footprint
@@ -95,6 +103,7 @@ type chasePattern struct {
 }
 
 func newChase(footprint uint64, seed uint64) *chasePattern {
+	footprint = max(footprint, 1)
 	mod := uint64(1)
 	for mod < footprint {
 		mod <<= 1

@@ -76,6 +76,23 @@ func TestGeneratorBounds(t *testing.T) {
 	}
 }
 
+// TestGeneratorTinyFootprints: footprints below the skewed patterns'
+// 16-page granule, and below the 8 and 16 pages whose fractions the
+// pointer chases take, still generate in bounds.
+func TestGeneratorTinyFootprints(t *testing.T) {
+	const base = mem.VPN(0x10000)
+	for _, s := range Suite() {
+		for fp := uint64(1); fp <= 33; fp++ {
+			g := s.NewGenerator(base, fp, 2000, 42)
+			for rec, ok := g.Next(); ok; rec, ok = g.Next() {
+				if rec.VPN < base || rec.VPN >= base+mem.VPN(fp) {
+					t.Fatalf("%s at %d pages: VPN %#x outside the footprint", s.Name, fp, uint64(rec.VPN))
+				}
+			}
+		}
+	}
+}
+
 func TestGeneratorDeterminism(t *testing.T) {
 	for _, s := range Suite() {
 		a := trace.Collect(s.NewGenerator(0, 1<<12, 1000, 7), 0)
