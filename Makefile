@@ -47,8 +47,8 @@ load-smoke:
 bench:
 	$(GO) test -run xxx -bench . -benchmem .
 
-# bench-json runs the translation hot-path benchmark (serial and
-# batched per scheme) and emits it as the BENCH_pipeline.json artifact:
+# bench-json runs the translation hot-path benchmark (the batched
+# drive loop, per scheme) and emits it as the BENCH_pipeline.json artifact:
 # ns/access, allocs/access, and iteration counts. Override BENCHTIME
 # (e.g. BENCHTIME=1000x) for a quick smoke run; 262144x is one full pass
 # over the benchmark's 2^18-record buffer, each record translated once.

@@ -437,43 +437,13 @@ func hotPathSetup(b *testing.B, scheme mmu.Scheme) (mmu.MMU, *osmem.Process, sim
 
 // BenchmarkTranslateHotPath measures the simulation inner loop per
 // scheme: ns/op is nanoseconds per access and allocs/op is allocations
-// per access (the batched pipeline must hold 0). The serial variant is
-// the pre-refactor record-at-a-time drive loop — per-record warmup
-// countdown, epoch check, and virtual Translate dispatch — and the
-// batched variant is the segment-sliced TranslateBatch pipeline the
-// drive loop now runs. `make bench-json` emits these rows as
-// BENCH_pipeline.json.
+// per access (it must hold 0). Its one variant, batched, is the
+// segment-sliced TranslateBatch loop the drive runs. `make bench-json`
+// emits these rows as BENCH_pipeline.json.
 func BenchmarkTranslateHotPath(b *testing.B) {
 	const warmup = 1 << 14
 	for _, scheme := range mmu.All() {
 		b.Run(scheme.String(), func(b *testing.B) {
-			b.Run("serial", func(b *testing.B) {
-				m, proc, cfg, recs, _ := hotPathSetup(b, scheme)
-				dynamic := cfg.Scheme.Policy().Anchors
-				var sinceEpoch uint64
-				warmLeft := uint64(warmup)
-				pos := 0
-				b.ResetTimer()
-				for done := 0; done < b.N; done++ {
-					rec := recs[pos]
-					pos++
-					if pos == len(recs) {
-						pos = 0
-					}
-					m.Translate(rec.VPN)
-					sinceEpoch += uint64(rec.Instrs)
-					if warmLeft > 0 {
-						warmLeft--
-						if warmLeft == 0 {
-							_ = m.Stats()
-						}
-					}
-					if dynamic && sinceEpoch >= cfg.EpochInstructions {
-						sinceEpoch = 0
-						proc.Reselect(cfg.SweepCost)
-					}
-				}
-			})
 			b.Run("batched", func(b *testing.B) {
 				m, proc, cfg, recs, vpns := hotPathSetup(b, scheme)
 				dynamic := cfg.Scheme.Policy().Anchors

@@ -6,8 +6,8 @@
 //	    | benchjson -out BENCH_pipeline.json
 //
 // The artifact records ns/access and allocs/access for every scheme's
-// serial and batched hot-path variant; a run without -benchmem (or with
-// no hot-path rows at all) fails instead of writing a hollow file. By
+// hot-path variants (today only batched); a run without -benchmem (or
+// with no hot-path rows at all) fails instead of writing a hollow file. By
 // default (-require-zero-allocs) the run also fails if any scheme's
 // batched variant reports a nonzero allocs- or bytes-per-access figure,
 // turning the bench artifact into a CI proof that the //tlbvet:hotpath
@@ -104,13 +104,9 @@ func main() {
 	}
 	sort.Strings(schemes)
 	for _, s := range schemes {
-		serial, batched := rep.Schemes[s]["serial"], rep.Schemes[s]["batched"]
-		speedup := 0.0
-		if batched.NsPerAccess > 0 {
-			speedup = serial.NsPerAccess / batched.NsPerAccess
-		}
-		fmt.Fprintf(os.Stderr, "benchjson: %-12s serial %8.1f ns  batched %8.1f ns  (%.2fx, %d allocs/access)\n",
-			s, serial.NsPerAccess, batched.NsPerAccess, speedup, batched.AllocsPerAccess)
+		batched := rep.Schemes[s]["batched"]
+		fmt.Fprintf(os.Stderr, "benchjson: %-12s batched %8.1f ns  (%d allocs/access)\n",
+			s, batched.NsPerAccess, batched.AllocsPerAccess)
 	}
 	if *out != "" {
 		fmt.Fprintf(os.Stderr, "benchjson: wrote %s (%d schemes)\n", *out, len(schemes))

@@ -90,7 +90,7 @@ type Variant struct {
 }
 
 // PipelineReport is the BENCH_pipeline.json document: per-scheme
-// serial vs batched hot-path numbers. encoding/json renders map keys
+// hot-path numbers by variant. encoding/json renders map keys
 // sorted, so the artifact bytes are deterministic for a given input.
 type PipelineReport struct {
 	Benchmark string                        `json:"benchmark"`

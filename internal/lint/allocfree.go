@@ -18,9 +18,9 @@ import (
 const hotpathDirective = "tlbvet:hotpath"
 
 // AllocFree forbids heap-escaping constructs inside regions annotated
-// with //tlbvet:hotpath. The batched translation pipeline's value —
-// 111.6 ns/access at 0 allocs (BENCH_pipeline.json), and the ROADMAP's
-// sub-50ns target — rests on those loops never touching the allocator.
+// with //tlbvet:hotpath: each scheme's Translate, the TLB and page-table
+// operations it calls, and the drive's batch loop. BENCH_pipeline.json's
+// 0 allocs/access rests on those regions never touching the allocator.
 // This is the syntactic half of the proof; cmd/allocgate checks the
 // compiler's escape analysis over the same regions.
 var AllocFree = &analysis.Analyzer{

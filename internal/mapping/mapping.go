@@ -143,7 +143,7 @@ func (c Config) withDefaults() (Config, error) {
 	if c.PhysFrames < c.FootprintPages+c.FootprintPages/8 {
 		return c, fmt.Errorf("mapping: %d physical frames cannot comfortably back a %d-page footprint", c.PhysFrames, c.FootprintPages)
 	}
-	if c.Pressure < 0 || c.Pressure > 1 {
+	if !(c.Pressure >= 0 && c.Pressure <= 1) { // NaN fails both compares
 		return c, fmt.Errorf("mapping: pressure %v outside [0,1]", c.Pressure)
 	}
 	return c, nil

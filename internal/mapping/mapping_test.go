@@ -1,6 +1,7 @@
 package mapping
 
 import (
+	"math"
 	"testing"
 
 	"hybridtlb/internal/mem"
@@ -214,6 +215,9 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := Generate(Low, Config{FootprintPages: 100, Pressure: 1.5}); err == nil {
 		t.Error("pressure > 1 accepted")
+	}
+	if _, err := Generate(Low, Config{FootprintPages: 100, Pressure: math.NaN()}); err == nil {
+		t.Error("NaN pressure accepted")
 	}
 	if _, err := Generate(Demand, Config{FootprintPages: 1 << 16, PhysFrames: 1 << 16}); err == nil {
 		t.Error("physical memory equal to footprint accepted (no headroom)")

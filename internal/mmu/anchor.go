@@ -97,6 +97,13 @@ func (m *anchorMMU) fillAnchor(avpn mem.VPN, appn mem.PFN, contig, d uint64) {
 	})
 }
 
+func (m *anchorMMU) TranslateBatch(vpns []mem.VPN) {
+	for _, vpn := range vpns {
+		m.Translate(vpn)
+	}
+}
+
+//tlbvet:hotpath
 func (m *anchorMMU) Translate(vpn mem.VPN) AccessResult {
 	m.stats.Accesses++
 	if pfn, ok := m.l1.lookup(vpn); ok {

@@ -14,8 +14,9 @@ import (
 // through two identically built MMUs per scheme — one record at a time
 // and one in deliberately irregular batch slices — and demands identical
 // Stats and (for the anchor scheme) identical Table 2 action counts.
-// This isolates the per-scheme inlined batch loops from the drive-loop
-// segmentation that internal/sim's equivalence suite covers.
+// It pins TranslateBatch to Translate in a loop at the MMU layer, apart
+// from the drive-loop segmentation that internal/sim's equivalence
+// suite covers.
 func TestTranslateBatchMatchesTranslate(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	cl := randomChunks(r, 40, 700)

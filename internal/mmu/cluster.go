@@ -95,6 +95,13 @@ func scanBlock(proc *osmem.Process, vpn mem.VPN, pfn mem.PFN) (base mem.VPN, pfn
 	return base, pfnBase, proc.PageTable().LineBitmap(vpn, pfnBase)
 }
 
+func (m *clusterMMU) TranslateBatch(vpns []mem.VPN) {
+	for _, vpn := range vpns {
+		m.Translate(vpn)
+	}
+}
+
+//tlbvet:hotpath
 func (m *clusterMMU) Translate(vpn mem.VPN) AccessResult {
 	m.stats.Accesses++
 	if pfn, ok := m.l1.lookup(vpn); ok {

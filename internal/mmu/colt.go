@@ -48,6 +48,13 @@ func (m *coltMMU) Invalidate(vpn mem.VPN) {
 	m.l2.InvalidateCluster(set, block)
 }
 
+func (m *coltMMU) TranslateBatch(vpns []mem.VPN) {
+	for _, vpn := range vpns {
+		m.Translate(vpn)
+	}
+}
+
+//tlbvet:hotpath
 func (m *coltMMU) Translate(vpn mem.VPN) AccessResult {
 	m.stats.Accesses++
 	if pfn, ok := m.l1.lookup(vpn); ok {

@@ -73,6 +73,13 @@ func (m *coltfaMMU) discoverRun(vpn mem.VPN, pfn mem.PFN) tlb.RangeEntry {
 	return run
 }
 
+func (m *coltfaMMU) TranslateBatch(vpns []mem.VPN) {
+	for _, vpn := range vpns {
+		m.Translate(vpn)
+	}
+}
+
+//tlbvet:hotpath
 func (m *coltfaMMU) Translate(vpn mem.VPN) AccessResult {
 	m.stats.Accesses++
 	if pfn, ok := m.l1.lookup(vpn); ok {

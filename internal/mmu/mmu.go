@@ -218,10 +218,9 @@ type MMU interface {
 	Scheme() Scheme
 	// Translate performs one access. Unmapped VPNs report OutFault.
 	Translate(vpn mem.VPN) AccessResult
-	// TranslateBatch performs one access per VPN, in order, equivalent
-	// to calling Translate on each but without per-access results — the
-	// bulk path the batched drive loop uses. TLB state and Stats after a
-	// batch are byte-identical to the per-record path.
+	// TranslateBatch calls Translate on each VPN in order and drops the
+	// results: the call the batched drive loop makes once per segment.
+	// Each scheme's Translate is its only translation flow.
 	TranslateBatch(vpns []mem.VPN)
 	// Stats returns the accumulated counters.
 	Stats() Stats

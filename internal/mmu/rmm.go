@@ -50,6 +50,13 @@ func (m *rmmMMU) Invalidate(vpn mem.VPN) {
 	m.ranges.InvalidateContaining(vpn)
 }
 
+func (m *rmmMMU) TranslateBatch(vpns []mem.VPN) {
+	for _, vpn := range vpns {
+		m.Translate(vpn)
+	}
+}
+
+//tlbvet:hotpath
 func (m *rmmMMU) Translate(vpn mem.VPN) AccessResult {
 	m.stats.Accesses++
 	if pfn, ok := m.l1.lookup(vpn); ok {

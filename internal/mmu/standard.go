@@ -95,6 +95,13 @@ func walkTimed(proc *osmem.Process, vpn mem.VPN, cfg *Config) (walkInfo, uint64)
 	return wi, cfg.WalkCycles
 }
 
+func (m *standardMMU) TranslateBatch(vpns []mem.VPN) {
+	for _, vpn := range vpns {
+		m.Translate(vpn)
+	}
+}
+
+//tlbvet:hotpath
 func (m *standardMMU) Translate(vpn mem.VPN) AccessResult {
 	m.stats.Accesses++
 	if pfn, ok := m.l1.lookup(vpn); ok {

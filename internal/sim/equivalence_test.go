@@ -17,7 +17,7 @@ import (
 // batch alignment: warmup ends mid-batch (499 accesses) and the epoch
 // period is short enough that dynamic re-selection fires many times per
 // run, so any drift between the batched drive's segment slicing and the
-// serial per-record checks shows up.
+// one-record reference shows up.
 func equivCfg(t testing.TB, scheme mmu.Scheme, scenario mapping.Scenario, wl string) Config {
 	spec, err := workload.ByName(wl)
 	if err != nil {
@@ -37,14 +37,14 @@ func equivCfg(t testing.TB, scheme mmu.Scheme, scenario mapping.Scenario, wl str
 // TestBatchedSerialEquivalence is the cross-product golden test: every
 // scheme over every scenario must produce a byte-identical Result —
 // Stats, AnchorActions, final anchor distance, everything — through the
-// batched TranslateBatch pipeline and the record-at-a-time reference.
+// batched drive and the record-at-a-time reference, driveByRecord.
 // Three configs outside the cross product ride along: the detailed walk
 // model, a pinned anchor distance (no re-selection at all), and a
 // 47-record trace shorter than one batch.
 func TestBatchedSerialEquivalence(t *testing.T) {
 	check := func(t *testing.T, cfg Config) {
 		t.Helper()
-		serial, _, err := run(cfg, Generated, nil, driveSerial)
+		serial, _, err := run(cfg, Generated, nil, driveByRecord)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +108,15 @@ func (s *shardedSource) ReadBatch(dst []trace.Record) int {
 	return n
 }
 
-// TestShardSerialEquivalence holds the batched drive to the serial
+// driveByRecord is the equivalence suite's reference: drive fed one
+// record per read. Every segment is then one record, so each warmup,
+// churn or epoch boundary is acted on right after the record that
+// reaches it, with no segment slicing to get wrong.
+func driveByRecord(m mmu.MMU, proc *osmem.Process, src trace.Source, cfg Config, churn *churner, res *Result) error {
+	return drive(m, proc, &shardedSource{src: trace.Batched(src), size: 1}, cfg, churn, res)
+}
+
+// TestShardSerialEquivalence holds the batched drive to the one-record
 // reference when its source cuts the trace into k contiguous shards:
 // for every shard count, scheme and scenario the Result must be
 // byte-identical. The cuts land mid-batch and away from the warmup and
@@ -124,7 +132,7 @@ func TestShardSerialEquivalence(t *testing.T) {
 			for _, scenario := range mapping.All() {
 				t.Run(fmt.Sprintf("k%d/%s/%s", shards, scheme, scenario), func(t *testing.T) {
 					cfg := equivCfg(t, scheme, scenario, "mcf")
-					serial, _, err := run(cfg, Generated, nil, driveSerial)
+					serial, _, err := run(cfg, Generated, nil, driveByRecord)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -148,7 +156,7 @@ func TestBatchedSerialEquivalenceMultiRegion(t *testing.T) {
 		t.Run(scenario.String(), func(t *testing.T) {
 			cfg := equivCfg(t, mmu.Anchor, scenario, "mcf")
 			cfg.MultiRegionAnchors = true
-			serial, _, err := run(cfg, Generated, nil, driveSerial)
+			serial, _, err := run(cfg, Generated, nil, driveByRecord)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -164,7 +172,7 @@ func TestBatchedSerialEquivalenceMultiRegion(t *testing.T) {
 }
 
 // TestBatchedSerialEquivalenceReplay proves the replay path matches the
-// serial replay record for record, for both trace encodings: the varint
+// one-record replay, for both trace encodings: the varint
 // stream (a trace.Reader decoding into each batch) and the fixed-width
 // HTLBTRB2 image (a trace.Bin copying batches out of its record view).
 func TestBatchedSerialEquivalenceReplay(t *testing.T) {
@@ -217,7 +225,7 @@ func TestBatchedSerialEquivalenceReplay(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					serial, err := runTrace(cfg, serialSrc, driveSerial)
+					serial, err := runTrace(cfg, serialSrc, driveByRecord)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -244,7 +252,7 @@ func TestBatchedSerialEquivalenceReplay(t *testing.T) {
 }
 
 // TestProbeEquivalence pins the Probe hook to the same firing points on
-// both drive paths: same epochs, same instruction counts, same stats
+// the batched drive and the one-record reference: same epochs, same instruction counts, same stats
 // snapshots, same anchor distances — and identical final results whether
 // or not a probe is attached (observation must be free).
 func TestProbeEquivalence(t *testing.T) {
@@ -260,7 +268,7 @@ func TestProbeEquivalence(t *testing.T) {
 			var serialSamples, batchedSamples []ProbeSample
 			cfg := base
 			cfg.Probe = func(s ProbeSample) { serialSamples = append(serialSamples, s) }
-			serial, _, err := run(cfg, Generated, nil, driveSerial)
+			serial, _, err := run(cfg, Generated, nil, driveByRecord)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -297,7 +305,7 @@ func TestWarmupOnBatchBoundary(t *testing.T) {
 			cfg := equivCfg(t, mmu.Anchor, mapping.Medium, "gups")
 			cfg.Accesses = total
 			cfg.WarmupAccesses = warm
-			serial, _, err := run(cfg, Generated, nil, driveSerial)
+			serial, _, err := run(cfg, Generated, nil, driveByRecord)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -340,7 +348,7 @@ func mappingSpan(t testing.TB, cfg Config) uint64 {
 }
 
 // TestBatchedSerialEquivalenceChurn holds churn runs on the batched drive
-// to driveSerial with the same churn step, for the four schemes the churn
+// to driveByRecord with the same churn step, for the four schemes the churn
 // experiment runs, with a probe attached to both. The corners are where a
 // churn boundary meets the others: the first churn op lands on the
 // warmup boundary; churn and epoch cross on the same records; warmup,
@@ -375,7 +383,7 @@ func TestBatchedSerialEquivalenceChurn(t *testing.T) {
 				}
 				var serialSamples, batchedSamples []ProbeSample
 				cfg.Probe = func(s ProbeSample) { serialSamples = append(serialSamples, s) }
-				serial, serialChurn, err := run(cfg.Config, Generated, &cfg, driveSerial)
+				serial, serialChurn, err := run(cfg.Config, Generated, &cfg, driveByRecord)
 				if err != nil {
 					t.Fatal(err)
 				}

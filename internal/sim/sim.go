@@ -340,9 +340,9 @@ func (r Result) L2Breakdown() (regular, coalesced, miss float64) {
 }
 
 // driveFunc pushes a trace through an MMU, performing churn's
-// operations when churn is non-nil; drive is the production batched
-// implementation, driveSerial the record-at-a-time reference the
-// equivalence suite compares it against.
+// operations when churn is non-nil. drive is the only implementation;
+// the seam lets tests wrap it, for example to feed it one record per
+// read or to check every translation it serves.
 type driveFunc func(m mmu.MMU, proc *osmem.Process, src trace.Source, cfg Config, churn *churner, res *Result) error
 
 // Run executes one simulation.
@@ -428,8 +428,9 @@ const batchRecords = 4096
 // (counted in accesses) and at each churn and epoch boundary (counted in
 // instructions) — so the per-access warmup countdown and the churn and
 // epoch checks live here, at segment granularity, instead of inside the
-// translation inner loop. Results are byte-identical to driveSerial: the
-// equivalence suite holds the two paths together.
+// translation inner loop. Results are byte-identical to the same drive
+// fed one record per read, which acts on every boundary right after the
+// record that reaches it: the equivalence suite holds the two together.
 //
 // A streamed trace longer than one batch is read one batch ahead on a
 // producer goroutine (trace.ReadAhead), so generating or decoding the
@@ -472,10 +473,9 @@ func drive(m mmu.MMU, proc *osmem.Process, src trace.Source, cfg Config, churn *
 		for start := 0; start < n; {
 			// The segment ends at the batch end, the warmup boundary, or
 			// the first record that reaches the churn interval or the
-			// epoch — whichever comes first. The serial loop acts on each
-			// record after translating it, in the order warmup, churn,
-			// epoch; acting in that order below preserves it when one
-			// record is several boundaries.
+			// epoch — whichever comes first. Boundaries are acted on
+			// after the record that reaches them, in the order warmup,
+			// churn, epoch, also when one record is several boundaries.
 			end := n
 			if warmLeft > 0 && uint64(end-start) > warmLeft {
 				end = start + int(warmLeft)
@@ -554,69 +554,6 @@ func drive(m mmu.MMU, proc *osmem.Process, src trace.Source, cfg Config, churn *
 func warmupCut(cfg Config, warmLeft uint64) error {
 	return fmt.Errorf("sim: trace ended after %d records, inside the %d-record warmup",
 		cfg.WarmupAccesses-warmLeft, cfg.WarmupAccesses)
-}
-
-// driveSerial is the original record-at-a-time loop, kept as the golden
-// reference: the batched drive above must produce byte-identical results.
-// Only the equivalence tests call it.
-func driveSerial(m mmu.MMU, proc *osmem.Process, src trace.Source, cfg Config, churn *churner, res *Result) error {
-	anchors := cfg.Scheme.Policy().Anchors
-	dynamic := anchors && cfg.FixedDistance == 0
-	var instructions, sinceEpoch, sinceChurn uint64
-	var warmLeft = cfg.WarmupAccesses
-	var warmStats mmu.Stats
-	var warmInstr uint64
-	epoch := 0
-
-	for {
-		rec, ok := src.Next()
-		if !ok {
-			break
-		}
-		m.Translate(rec.VPN)
-		instructions += uint64(rec.Instrs)
-		sinceEpoch += uint64(rec.Instrs)
-		sinceChurn += uint64(rec.Instrs)
-
-		if warmLeft > 0 {
-			warmLeft--
-			if warmLeft == 0 {
-				warmStats = m.Stats()
-				warmInstr = instructions
-			}
-		}
-		if churn != nil && sinceChurn >= churn.interval {
-			sinceChurn = 0
-			if err := churn.op(proc); err != nil {
-				return err
-			}
-		}
-		if (dynamic || cfg.Probe != nil) && sinceEpoch >= cfg.EpochInstructions {
-			sinceEpoch = 0
-			if dynamic {
-				proc.Reselect(cfg.SweepCost)
-			}
-			if cfg.Probe != nil {
-				epoch++
-				d := uint64(0)
-				if anchors {
-					d = proc.AnchorDistance()
-				}
-				cfg.Probe(ProbeSample{
-					Epoch:          epoch,
-					Instructions:   instructions,
-					Stats:          m.Stats(),
-					AnchorDistance: d,
-				})
-			}
-		}
-	}
-	if warmLeft > 0 {
-		return warmupCut(cfg, warmLeft)
-	}
-	res.Stats = subStats(m.Stats(), warmStats)
-	res.Instructions = instructions - warmInstr
-	return nil
 }
 
 func subStats(a, b mmu.Stats) mmu.Stats {

@@ -331,7 +331,7 @@ func TestRunTraceUnbounded(t *testing.T) {
 	drives := []struct {
 		name string
 		fn   driveFunc
-	}{{"batched", drive}, {"serial", driveSerial}}
+	}{{"batched", drive}, {"by-record", driveByRecord}}
 	t.Run("ends inside warmup", func(t *testing.T) {
 		baseline := runtime.NumGoroutine()
 		for _, d := range drives {
@@ -356,7 +356,7 @@ func TestRunTraceUnbounded(t *testing.T) {
 			results = append(results, res)
 		}
 		if !reflect.DeepEqual(results[0], results[1]) {
-			t.Errorf("drives disagree:\nbatched: %+v\nserial:  %+v", results[0], results[1])
+			t.Errorf("drives disagree:\nbatched:   %+v\nby-record: %+v", results[0], results[1])
 		}
 	})
 }
